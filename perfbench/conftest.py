@@ -1,0 +1,8 @@
+"""Lets the harness tests import ``sideshap`` from ``src/`` and the benchmark modules."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+sys.path.insert(0, HERE)
