@@ -8,7 +8,7 @@ float32; float64 graphs are supported for tight finite-difference checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -433,7 +433,6 @@ class OptimizerConfig:
     """
 
     step_size: float = 1e-4
-    steps: int = 0
     scheme: str = "adam"
     beta1: float = 0.9
     beta2: float = 0.999

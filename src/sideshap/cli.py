@@ -32,13 +32,14 @@ from .sidenet import (
 from .training import (
     StageConfig,
     geometric_decay_experiment,
+    surrogate_mask_values,
     train_classifier,
     train_duo,
     train_explainer,
     train_froyo,
     train_surrogate,
 )
-from .transformer import PRESETS, MaskedTransformer, ModelConfig, count_params
+from .transformer import PRESETS, MaskedTransformer, ModelConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,7 +136,6 @@ TRAIN_DEFAULTS = {
 }
 SIDE_DEFAULTS = {
     "side.reduction": 8,
-    "side.explainer_head_depth": 3,
 }
 DATA_DEFAULTS = {
     "data.kind": "planted-patch",
@@ -288,7 +288,6 @@ def _run_head_pipeline(args, pipeline):
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
     stage = _stage_config(cfg, pipeline)
-    stage.pipeline = pipeline
     trainer = train_froyo if pipeline == "froyo" else train_duo
     model, record = trainer(classifier, ds, stage)
     path = out_path(args, f"{pipeline}.ckpt")
@@ -315,10 +314,13 @@ def _load_combined(args) -> tuple[CombinedModel, SyntheticDataset]:
 
 def cmd_explain(args):
     combined, ds = _load_combined(args)
+    if not 0 <= args.index < len(ds.tokens):
+        raise UsageError(f"--index {args.index} outside [0, {len(ds.tokens)})")
     tokens = ds.tokens[args.index][None]
     logits, phi, residual = combined.explain(tokens)
-    if residual >= 1e-5:
-        print(f"efficiency residual {residual:.3e} exceeds 1e-5", file=sys.stderr)
+    if not residual < 1e-5:  # also rejects a NaN residual
+        print(f"efficiency residual {residual:.3e} is not finite or exceeds 1e-5",
+              file=sys.stderr)
         return EXIT_CHECK_FAILED
     result = {
         "index": args.index,
@@ -341,15 +343,11 @@ def cmd_evaluate(args):
     idx = rng.permutation(len(x_test))[:args.samples]
     ins, dele = [], []
     for i in idx:
-        tokens = x_test[i][None]
-        logits, phi, _ = combined.explain(tokens)
+        logits, phi, _ = combined.explain(x_test[i][None])
         c = int(np.argmax(logits[0]))
-
-        def value_fn(masks, _t=x_test[i], _c=c):
-            rep = np.repeat(_t[None], len(masks), axis=0)
-            return combined.surrogate.surrogate_forward(rep, masks)[:, _c]
-
-        curve = insertion_deletion(value_fn, phi[0, :, c])
+        curve = insertion_deletion(
+            lambda masks: surrogate_mask_values(combined.surrogate, x_test[i], masks)[:, c],
+            phi[0, :, c])
         ins.append(curve.insertion_auc)
         dele.append(curve.deletion_auc)
     result = {"samples": int(len(idx)),

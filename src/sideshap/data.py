@@ -11,7 +11,7 @@ Two generators stand in for real image/text corpora:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -78,18 +78,6 @@ def insertion_deletion(value_fn, attribution: np.ndarray) -> InsertionDeletionCu
     )
 
 
-def mean_curves(value_fns, attributions) -> dict:
-    """Average insertion/deletion AUC over a batch of (value_fn, attribution)."""
-    ins, dele = [], []
-    for fn, attr in zip(value_fns, attributions):
-        c = insertion_deletion(fn, attr)
-        ins.append(c.insertion_auc)
-        dele.append(c.deletion_auc)
-    return {"insertion_auc": float(np.mean(ins)),
-            "deletion_auc": float(np.mean(dele)),
-            "per_sample_insertion": ins, "per_sample_deletion": dele}
-
-
 # ---------------------------------------------------------------------------
 # representation similarity and gradient geometry
 

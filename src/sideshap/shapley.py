@@ -10,19 +10,16 @@ All probability and value arithmetic here is float64.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import comb
 
 __all__ = [
-    "Game", "Attribution", "ShapleyKernelDist", "SecondMomentMatrix",
+    "Game", "ShapleyKernelDist", "SecondMomentMatrix",
     "harmonic", "exact_shapley", "shapley_kernel", "sample_subsets",
     "sample_equicardinality_masks", "kernelshap", "efficiency_normalize",
     "efficiency_normalize_grid", "second_moment_matrix",
-    "attribution_to_csv", "attribution_to_json",
 ]
 
 MAX_EXACT_PLAYERS = 20
@@ -55,14 +52,12 @@ class Game:
     """A set function on d players with memoized evaluations.
 
     ``value`` maps a batch of indicator vectors (m, d) to values of shape
-    (m,) or (m, num_outputs). Pass ``vectorized=False`` for a scalar
-    callable taking a single indicator vector.
+    (m,) or (m, num_outputs).
     """
 
-    def __init__(self, d: int, value, vectorized: bool = True):
+    def __init__(self, d: int, value):
         self.d = d
         self._value = value
-        self._vectorized = vectorized
         self._memo: dict[int, np.ndarray] = {}
 
     def evaluate(self, masks: np.ndarray) -> np.ndarray:
@@ -73,10 +68,7 @@ class Game:
         missing_idx = [i for i, k in enumerate(keys) if int(k) not in self._memo]
         if missing_idx:
             sub = masks[missing_idx]
-            if self._vectorized:
-                vals = np.asarray(self._value(sub), dtype=np.float64)
-            else:
-                vals = np.asarray([self._value(row) for row in sub], dtype=np.float64)
+            vals = np.asarray(self._value(sub), dtype=np.float64)
             if vals.shape[0] != sub.shape[0]:
                 raise ValueError("game value returned wrong batch size")
             if vals.ndim == 1:
@@ -91,15 +83,6 @@ class Game:
 
     def null_value(self) -> np.ndarray:
         return self.evaluate(np.zeros((1, self.d)))[0]
-
-
-@dataclass
-class Attribution:
-    """Per-class Shapley estimate for one input."""
-
-    values: np.ndarray  # (d,) or (d, num_classes)
-    target_class: int | None = None
-    normalized: bool = False
 
 
 def exact_shapley(game: Game) -> np.ndarray:
@@ -136,10 +119,6 @@ class ShapleyKernelDist:
     cardinality: np.ndarray  # P(|s| = k) = C(d,k) p_k
     normalizer: float
 
-    def subset_probability(self, masks: np.ndarray) -> np.ndarray:
-        k = np.asarray(masks).sum(axis=-1).astype(np.int64)
-        return self.per_subset[k - 1]
-
 
 def shapley_kernel(d: int) -> ShapleyKernelDist:
     """Shapley kernel q(s) proportional to (d-1) / (C(d,k) k (d-k))."""
@@ -159,20 +138,9 @@ def sample_subsets(dist: ShapleyKernelDist, n: int, paired: bool,
     """i.i.d. draws from q(s); paired batches interleave each draw with its complement."""
     rng = np.random.default_rng(seed_or_rng) if not isinstance(
         seed_or_rng, np.random.Generator) else seed_or_rng
-    d = dist.d
-    if paired and n % 2 != 0:
-        raise ValueError("paired sampling requires an even sample count")
-    draws = n // 2 if paired else n
-    ks = rng.choice(np.arange(1, d), size=draws, p=dist.cardinality)
-    masks = np.zeros((draws, d), dtype=np.float64)
-    for i, k in enumerate(ks):
-        masks[i, rng.permutation(d)[:k]] = 1.0
-    if not paired:
-        return masks
-    out = np.empty((n, d), dtype=np.float64)
-    out[0::2] = masks
-    out[1::2] = 1.0 - masks
-    return out
+    ks = rng.choice(np.arange(1, dist.d), size=_draw_count(n, paired),
+                    p=dist.cardinality)
+    return _fill_and_pair(ks, dist.d, paired, rng)
 
 
 def sample_equicardinality_masks(d: int, n: int, rng: np.random.Generator,
@@ -181,17 +149,29 @@ def sample_equicardinality_masks(d: int, n: int, rng: np.random.Generator,
 
     Cardinalities 0 and d are both included.
     """
+    ks = rng.integers(0, d + 1, size=_draw_count(n, paired))
+    return _fill_and_pair(ks, d, paired, rng)
+
+
+def _draw_count(n: int, paired: bool) -> int:
     if paired and n % 2 != 0:
         raise ValueError("paired sampling requires an even sample count")
-    draws = n // 2 if paired else n
-    ks = rng.integers(0, d + 1, size=draws)
-    masks = np.zeros((draws, d), dtype=np.float64)
+    return n // 2 if paired else n
+
+
+def _fill_and_pair(ks, d: int, paired: bool, rng: np.random.Generator) -> np.ndarray:
+    """One uniform subset of each size in ``ks``; paired output interleaves complements.
+
+    An empty subset draws no permutation, so the generator's stream depends
+    only on the nonzero sizes.
+    """
+    masks = np.zeros((len(ks), d), dtype=np.float64)
     for i, k in enumerate(ks):
         if k:
             masks[i, rng.permutation(d)[:k]] = 1.0
     if not paired:
         return masks
-    out = np.empty((n, d), dtype=np.float64)
+    out = np.empty((2 * len(ks), d), dtype=np.float64)
     out[0::2] = masks
     out[1::2] = 1.0 - masks
     return out
@@ -288,27 +268,3 @@ def second_moment_matrix(d: int) -> SecondMomentMatrix:
         lambda_min_eigensolve=float(eigs[0]),
         lambda_min_harmonic=1.0 / (2.0 * harmonic(d - 1)),
     )
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def attribution_to_csv(path, values: np.ndarray):
-    """Rows = feature index, columns = class."""
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if values.shape[0] == 1:
-        values = values.T
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["feature"] + [f"class_{c}" for c in range(values.shape[1])])
-        for i, row in enumerate(values):
-            writer.writerow([i] + [f"{x:.10g}" for x in row])
-
-
-def attribution_to_json(path, values: np.ndarray, extra: dict | None = None):
-    payload = {"attribution": np.asarray(values, dtype=np.float64).tolist()}
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)

@@ -22,7 +22,10 @@ from .transformer import (
     ModelConfig,
     MsaBlock,
     block_param_count,
+    load_named_state,
     mask_key_bias,
+    named_layer_parameters,
+    state_snapshot,
 )
 
 ROLE_SURROGATE = "surrogate"
@@ -128,54 +131,35 @@ class SideTunedModel:
 
     # ------------------------------------------------------------------
     def named_side_parameters(self):
-        out = {}
-        for i, fc in enumerate(self.downsamplers):
-            out[f"down.{i}.weight"] = fc.weight
-            out[f"down.{i}.bias"] = fc.bias
-        for i, blk in enumerate(self.side_blocks):
-            names = ["ln1.gamma", "ln1.beta", "qkv.weight", "qkv.bias",
-                     "proj.weight", "proj.bias", "ln2.gamma", "ln2.beta",
-                     "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"]
-            for name, p in zip(names, blk.parameters()):
-                out[f"side.{i}.{name}"] = p
-        out["side_norm.gamma"] = self.side_norm.gamma
-        out["side_norm.beta"] = self.side_norm.beta
-        for i, layer in enumerate(self.head_layers):
-            out[f"head.{i}.weight"] = layer.weight
-            out[f"head.{i}.bias"] = layer.bias
+        out = named_layer_parameters("down", self.downsamplers)
+        out.update(named_layer_parameters("side", self.side_blocks))
+        out.update(self.side_norm.named_parameters("side_norm"))
+        out.update(named_layer_parameters("head", self.head_layers))
         return out
 
     def side_parameters(self):
         return list(self.named_side_parameters().values())
 
     def side_state_dict(self):
-        return {k: v.data.copy() for k, v in self.named_side_parameters().items()}
+        return state_snapshot(self.named_side_parameters())
 
     def load_side_state(self, state: dict):
-        params = self.named_side_parameters()
-        if set(state) != set(params):
-            missing = set(params) ^ set(state)
-            raise ContractError(f"side state mismatch: {sorted(missing)}")
-        for k, p in params.items():
-            p.data = state[k].astype(np.float32).copy()
+        load_named_state(self.named_side_parameters(), state)
 
     def copy_trunk_from(self, other: "SideTunedModel"):
         """Copy downsamplers, side blocks and side norm; leave the head alone."""
-        src = other.named_side_parameters()
-        for k, p in self.named_side_parameters().items():
-            if k.startswith("head."):
-                continue
-            p.data = src[k].data.copy()
+        trunk = {k: p for k, p in self.named_side_parameters().items()
+                 if not k.startswith("head.")}
+        source = other.named_side_parameters()
+        load_named_state(trunk, {k: source[k].data for k in trunk})
 
 
-def make_explainer_from_surrogate(surrogate: SideTunedModel, seed: int = 0,
-                                  head_depth: int | None = None) -> SideTunedModel:
+def make_explainer_from_surrogate(surrogate: SideTunedModel, seed: int = 0) -> SideTunedModel:
     """Explainer branch initialized from surrogate weights, head replaced."""
     cfg = SideConfig(
         reduction=surrogate.side_config.reduction,
         role=ROLE_EXPLAINER,
-        explainer_head_depth=(head_depth if head_depth is not None
-                              else surrogate.side_config.explainer_head_depth),
+        explainer_head_depth=surrogate.side_config.explainer_head_depth,
     )
     explainer = SideTunedModel(surrogate.backbone, cfg, seed=seed)
     explainer.copy_trunk_from(surrogate)

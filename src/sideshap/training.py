@@ -27,9 +27,13 @@ from .sidenet import (
     SideTunedModel,
     make_explainer_from_surrogate,
 )
-from .transformer import Linear, MaskedTransformer, ModelConfig
-
-PIPELINES = ("autognothi", "full-finetune", "froyo", "duo")
+from .transformer import (
+    Linear,
+    MaskedTransformer,
+    ModelConfig,
+    named_layer_parameters,
+    state_snapshot,
+)
 
 
 @dataclass
@@ -42,7 +46,6 @@ class StageConfig:
     inputs_per_batch: int = 2
     seed: int = 0
     step_decay: float = 1.0  # per-epoch multiplicative step-size decay
-    pipeline: str = "autognothi"
     label_mode: str = "weighted"  # "weighted" (all classes) or "label" (ground truth only)
     mask_bank: int = 0  # explainer stage: fixed per-input mask bank (0 = resample per step)
 
@@ -53,8 +56,6 @@ class StageConfig:
             raise ContractError("masks_per_input must be even (paired sampling)")
         if self.mask_bank < 0 or self.mask_bank % 2 != 0:
             raise ContractError("mask_bank must be a non-negative even number")
-        if self.pipeline not in PIPELINES:
-            raise ContractError(f"unknown pipeline {self.pipeline!r}")
 
 
 @dataclass
@@ -174,15 +175,20 @@ def train_classifier(dataset: SyntheticDataset, model_config: ModelConfig,
     model.load_state(best_state)
     record.final_loss = best_val
     record.extra["val_accuracy"] = accuracy(
-        _batched_logits(model, x_val), y_val)
+        _chunked_logits(model.forward, x_val), y_val)
     return model, record
 
 
-def _batched_logits(model, tokens, mask=None, chunk=256):
+def _chunked_logits(logits_fn, tokens, masks=None, chunk=256):
+    """``logits_fn(tokens, masks)`` over row chunks, as one numpy array.
+
+    ``logits_fn`` is a value function such as ``MaskedTransformer.forward``
+    or ``SideTunedModel.surrogate_logits``; ``masks`` None means unmasked.
+    """
     outs = []
     for start in range(0, len(tokens), chunk):
-        m = None if mask is None else mask[start:start + chunk]
-        outs.append(model.forward(tokens[start:start + chunk], m).numpy())
+        m = None if masks is None else masks[start:start + chunk]
+        outs.append(logits_fn(tokens[start:start + chunk], m).numpy())
     return np.concatenate(outs, axis=0)
 
 
@@ -269,38 +275,9 @@ def _surrogate_val_kl(model, classifier, x_val, val_masks):
     n, m, d = val_masks.shape
     rep = np.repeat(x_val, m, axis=0)
     masks = val_masks.reshape(n * m, d)
-    p_logits = np.repeat(_batched_logits(classifier, x_val), m, axis=0)
-    q_logits = _batched_logits_surrogate(model, rep, masks)
-    return kl_divergence_rows(p_logits, q_logits)
-
-
-def _batched_logits_surrogate(model, tokens, masks, chunk=256):
-    outs = []
-    for start in range(0, len(tokens), chunk):
-        outs.append(model.surrogate_logits(
-            tokens[start:start + chunk], masks[start:start + chunk]).numpy())
-    return np.concatenate(outs, axis=0)
-
-
-def kl_divergence_rows(p_logits, q_logits) -> float:
+    p_logits = np.repeat(_chunked_logits(classifier.forward, x_val), m, axis=0)
+    q_logits = _chunked_logits(model.surrogate_logits, rep, masks)
     return kl_divergence(p_logits, q_logits)
-
-
-def per_cardinality_kl(model: SideTunedModel, classifier: MaskedTransformer,
-                       tokens: np.ndarray, rng: np.random.Generator,
-                       masks_per_cardinality: int = 8) -> dict:
-    """Mean KL by mask cardinality; diagnostic for how masking hurts mimicry."""
-    d = classifier.config.num_tokens
-    out = {}
-    p_logits = _batched_logits(classifier, tokens)
-    for k in range(d + 1):
-        masks = np.zeros((len(tokens) * masks_per_cardinality, d), dtype=np.float64)
-        for i in range(masks.shape[0]):
-            masks[i, rng.permutation(d)[:k]] = 1.0
-        rep = np.repeat(tokens, masks_per_cardinality, axis=0)
-        q_logits = _batched_logits_surrogate(model, rep, masks)
-        out[k] = kl_divergence(np.repeat(p_logits, masks_per_cardinality, axis=0), q_logits)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +288,7 @@ def surrogate_mask_values(surrogate: SideTunedModel, tokens_one: np.ndarray,
                           masks: np.ndarray, chunk: int = 512) -> np.ndarray:
     """Surrogate class probabilities for one input under many masks."""
     rep = np.repeat(tokens_one[None], len(masks), axis=0)
-    outs = []
-    for start in range(0, len(masks), chunk):
-        logits = surrogate.surrogate_logits(rep[start:start + chunk],
-                                            masks[start:start + chunk]).numpy()
-        outs.append(_softmax_np(logits))
-    return np.concatenate(outs, axis=0)
+    return _softmax_np(_chunked_logits(surrogate.surrogate_logits, rep, masks, chunk))
 
 
 def _softmax_np(logits):
@@ -326,40 +298,54 @@ def _softmax_np(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _explainer_regression_loss(explainer: SideTunedModel, xb: np.ndarray,
-                               labels: np.ndarray, masks_per_input: int,
-                               masks: np.ndarray, targets: np.ndarray,
-                               diffs: np.ndarray, weights: np.ndarray,
-                               backbone_states=None) -> Tensor:
+def _shapley_regression_loss(raw: Tensor, masks: np.ndarray, targets: np.ndarray,
+                             diffs: np.ndarray, weights: np.ndarray) -> Tensor:
     """In-graph Shapley regression loss with additive efficient normalization.
 
-    xb: (n_in, d, dim) inputs; masks (n_in*m, d); targets g(x_s)-g(x_0) per
-    instance (n_in*m, C); diffs g(x_1)-g(x_0) per input (n_in, C); weights
-    per-class weights per input (n_in, C).
+    raw: (n_in, d, C) unconstrained attributions; masks (n_in*m, d); targets
+    v(x_s)-v(x_0) per instance (n_in*m, C); diffs v(x_1)-v(x_0) per input
+    (n_in, C); weights per-class weights per input (n_in, C).
 
-    Each input is forwarded once; the per-coalition prediction s^T phi(x) is
-    a batched matmul against the input's mask block.
+    The per-coalition prediction s^T phi(x) is a batched matmul of each
+    input's mask block against its normalized attributions.
     """
-    m = masks_per_input
-    n_in = len(xb)
-    raw = explainer.explainer_raw(xb, backbone_states=backbone_states)  # (n, d, C)
-    d = raw.shape[1]
+    n_in, d = raw.shape[0], raw.shape[1]
     diff = Tensor(diffs.astype(np.float32)[:, None, :])  # (n, 1, C)
     total = ad.tensor_sum(raw, axis=1, keepdims=True)
     phi = raw + (diff - total) * (1.0 / d)
-    s = Tensor(masks.reshape(n_in, m, d).astype(np.float32))
+    s = Tensor(masks.reshape(n_in, -1, d).astype(np.float32))
     pred = ad.matmul(s, phi)  # (n, m, C)
-    t = Tensor(targets.reshape(n_in, m, -1).astype(np.float32))
+    t = Tensor(targets.reshape(pred.shape).astype(np.float32))
     err = ad.square(t - pred)
     w = Tensor(weights.astype(np.float32)[:, None, :])  # (n, 1, C)
     return ad.mean(ad.tensor_sum(w * err, axis=-1))
 
 
-def _class_weights(surrogate, xb, labels, num_classes, label_mode):
+def _value_targets(logits_fn, xb, masks, m):
+    """v(x_s)-v(x_0) per (input, mask) row and v(x_1)-v(x_0) per input.
+
+    Each input's m masks are evaluated together with the all-zeros and
+    all-ones masks in one chunked pass of the value function ``logits_fn``.
+    """
+    n_in, d = len(xb), masks.shape[1]
+    extremes = np.broadcast_to(
+        np.stack([np.zeros(d), np.ones(d)]), (n_in, 2, d))
+    stacked = np.concatenate([masks.reshape(n_in, m, d), extremes],
+                             axis=1).reshape(n_in * (m + 2), d)
+    rep = np.repeat(xb, m + 2, axis=0)
+    logits = _chunked_logits(logits_fn, rep, stacked, chunk=1024)
+    vals = _softmax_np(logits).reshape(n_in, m + 2, -1)
+    v0 = vals[:, m, :]
+    v1 = vals[:, m + 1, :]
+    targets = vals[:, :m, :] - v0[:, None, :]
+    return targets.reshape(n_in * m, -1), v1 - v0
+
+
+def _class_weights(logits_fn, xb, labels, num_classes, label_mode):
+    """Per-class loss weights: the one-hot label, or v(x_1) of the value function."""
     if label_mode == "label":
         return np.eye(num_classes, dtype=np.float64)[labels]
-    ones = np.ones((len(xb), surrogate.backbone.config.num_tokens), dtype=np.float64)
-    return _softmax_np(_batched_logits_surrogate(surrogate, xb, ones))
+    return _softmax_np(_chunked_logits(logits_fn, xb))
 
 
 def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
@@ -404,11 +390,11 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
     if bank:
         n_tr = len(x_train)
         bank_masks = sample_subsets(dist, n_tr * bank, True, rng)
-        bank_targets, bank_diffs = _surrogate_targets(
-            surrogate, x_train, bank_masks, bank)
+        bank_targets, bank_diffs = _value_targets(
+            surrogate.surrogate_logits, x_train, bank_masks, bank)
         bank_masks = bank_masks.reshape(n_tr, bank, d)
         bank_targets = bank_targets.reshape(n_tr, bank, num_classes)
-        bank_weights = _class_weights(surrogate, x_train, y_train,
+        bank_weights = _class_weights(surrogate.surrogate_logits, x_train, y_train,
                                       num_classes, config.label_mode)
         cached_states = [s.numpy() for s in classifier.block_states(x_train, None)]
 
@@ -420,7 +406,6 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
             n_in = len(idx)
             states = None
             if bank:
-                m = bank
                 masks = bank_masks[idx].reshape(n_in * bank, d)
                 targets = bank_targets[idx].reshape(n_in * bank, -1)
                 diffs = bank_diffs[idx]
@@ -429,12 +414,11 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
             else:
                 m = config.masks_per_input
                 masks = sample_subsets(dist, n_in * m, True, rng)
-                targets, diffs = _surrogate_targets(surrogate, xb, masks, m)
-                weights = _class_weights(surrogate, xb, yb, num_classes,
-                                         config.label_mode)
-            loss = _explainer_regression_loss(
-                explainer, xb, yb, m, masks, targets, diffs, weights,
-                backbone_states=states)
+                targets, diffs = _value_targets(surrogate.surrogate_logits, xb, masks, m)
+                weights = _class_weights(surrogate.surrogate_logits, xb, yb,
+                                         num_classes, config.label_mode)
+            raw = explainer.explainer_raw(xb, backbone_states=states)
+            loss = _shapley_regression_loss(raw, masks, targets, diffs, weights)
             if not np.isfinite(loss.item()):
                 raise FloatingPointError(f"explainer diverged at epoch {epoch}")
             opt.zero_grad()
@@ -456,33 +440,15 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
     return explainer, record
 
 
-def _surrogate_targets(surrogate, xb, masks, masks_per_input):
-    """g(x_s)-g(x_0) per (input, mask) instance and g(x_1)-g(x_0) per input."""
-    d = masks.shape[1]
-    n_in = len(xb)
-    m = masks_per_input
-    blocks = masks.reshape(n_in, m, d)
-    extremes = np.broadcast_to(
-        np.stack([np.zeros(d), np.ones(d)]), (n_in, 2, d))
-    stacked = np.concatenate([blocks, extremes], axis=1).reshape(n_in * (m + 2), d)
-    rep = np.repeat(xb, m + 2, axis=0)
-    logits = _batched_logits_surrogate(surrogate, rep, stacked, chunk=1024)
-    vals = _softmax_np(logits).reshape(n_in, m + 2, -1)
-    v0 = vals[:, m, :]
-    v1 = vals[:, m + 1, :]
-    targets = vals[:, :m, :] - v0[:, None, :]
-    return targets.reshape(n_in * m, -1), v1 - v0
-
-
 def _explainer_eval_loss(explainer, surrogate, x_eval, y_eval, masks_3d,
                          num_classes, label_mode):
     n, m, d = masks_3d.shape
     masks = masks_3d.reshape(n * m, d)
-    targets, diffs = _surrogate_targets(surrogate, x_eval, masks, m)
-    weights = _class_weights(surrogate, x_eval, y_eval, num_classes, label_mode)
-    loss = _explainer_regression_loss(explainer, x_eval, y_eval, m, masks,
-                                      targets, diffs, weights)
-    return loss.item()
+    targets, diffs = _value_targets(surrogate.surrogate_logits, x_eval, masks, m)
+    weights = _class_weights(surrogate.surrogate_logits, x_eval, y_eval,
+                             num_classes, label_mode)
+    raw = explainer.explainer_raw(x_eval)
+    return _shapley_regression_loss(raw, masks, targets, diffs, weights).item()
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +487,8 @@ class HeadExplainerModel:
         return {k: v for k, v in named.items()
                 if not k.startswith(("head.", "final_norm."))}
 
-    def pred_head_parameters(self):
-        named = self.net.named_parameters()
-        return {k: v for k, v in named.items()
-                if k.startswith(("head.", "final_norm."))}
-
     def expl_head_parameters(self):
-        out = {}
-        for i, layer in enumerate(self.expl_head):
-            out[f"expl_head.{i}.weight"] = layer.weight
-            out[f"expl_head.{i}.bias"] = layer.bias
-        return out
+        return named_layer_parameters("expl_head", self.expl_head)
 
     def named_parameters(self):
         out = dict(self.net.named_parameters())
@@ -539,38 +496,16 @@ class HeadExplainerModel:
         return out
 
     def state_dict(self):
-        return {k: v.data.copy() for k, v in self.named_parameters().items()}
+        return state_snapshot(self.named_parameters())
 
 
 def _head_explainer_loss(model: HeadExplainerModel, value_model: MaskedTransformer,
                          xb, yb, masks_per_input, masks, num_classes, label_mode):
     """Shapley regression loss with the frozen masked classifier as value function."""
-    m = masks_per_input
-    n_in = len(xb)
-    d = masks.shape[1]
-    blocks = masks.reshape(n_in, m, d)
-    extremes = np.broadcast_to(
-        np.stack([np.zeros(d), np.ones(d)]), (n_in, 2, d))
-    stacked = np.concatenate([blocks, extremes], axis=1).reshape(n_in * (m + 2), d)
-    rep = np.repeat(xb, m + 2, axis=0)
-    vals = _softmax_np(_batched_logits(value_model, rep, stacked, chunk=1024))
-    vals = vals.reshape(n_in, m + 2, -1)
-    v0, v1 = vals[:, m, :], vals[:, m + 1, :]
-    targets = vals[:, :m, :] - v0[:, None, :]
-    if label_mode == "label":
-        weights = np.eye(num_classes, dtype=np.float64)[yb]
-    else:
-        weights = _softmax_np(_batched_logits(value_model, xb))
-
+    targets, diffs = _value_targets(value_model.forward, xb, masks, masks_per_input)
+    weights = _class_weights(value_model.forward, xb, yb, num_classes, label_mode)
     _, raw = model.forward_both(xb)
-    diff = Tensor((v1 - v0).astype(np.float32)[:, None, :])
-    total = ad.tensor_sum(raw, axis=1, keepdims=True)
-    phi = raw + (diff - total) * (1.0 / d)
-    s = Tensor(blocks.astype(np.float32))
-    pred = ad.matmul(s, phi)
-    err = ad.square(Tensor(targets.astype(np.float32)) - pred)
-    w = Tensor(weights.astype(np.float32)[:, None, :])
-    return ad.mean(ad.tensor_sum(w * err, axis=-1))
+    return _shapley_regression_loss(raw, masks, targets, diffs, weights)
 
 
 def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,

@@ -9,7 +9,7 @@ unmasked token (in particular the class token) can read their content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,8 +79,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return (x @ self.weight) + self.bias
 
-    def parameters(self):
-        return [self.weight, self.bias]
+    def named_parameters(self, prefix: str) -> dict:
+        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 class LayerNorm:
@@ -91,8 +91,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta)
 
-    def parameters(self):
-        return [self.gamma, self.beta]
+    def named_parameters(self, prefix: str) -> dict:
+        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
 
 
 class MsaBlock:
@@ -140,9 +140,36 @@ class MsaBlock:
         x = x + self.fc2(ad.gelu(self.fc1(self.ln2(x))))
         return x
 
-    def parameters(self):
-        return (self.ln1.parameters() + self.qkv.parameters() + self.proj.parameters()
-                + self.ln2.parameters() + self.fc1.parameters() + self.fc2.parameters())
+    def named_parameters(self, prefix: str) -> dict:
+        out = {}
+        for name in ("ln1", "qkv", "proj", "ln2", "fc1", "fc2"):
+            out.update(getattr(self, name).named_parameters(f"{prefix}.{name}"))
+        return out
+
+
+def named_layer_parameters(prefix: str, layers) -> dict:
+    """Parameters of a layer list, named ``<prefix>.<index>.<parameter>``."""
+    out = {}
+    for i, layer in enumerate(layers):
+        out.update(layer.named_parameters(f"{prefix}.{i}"))
+    return out
+
+
+def state_snapshot(named: dict) -> dict:
+    """Copy of every parameter array, keyed by parameter name."""
+    return {k: p.data.copy() for k, p in named.items()}
+
+
+def load_named_state(named: dict, state: dict):
+    """Load ``state`` into the named parameters once every name and shape matches."""
+    if set(state) != set(named):
+        raise ContractError(f"state mismatch: {sorted(set(named) ^ set(state))}")
+    for k, p in named.items():
+        if np.shape(state[k]) != p.data.shape:
+            raise ContractError(
+                f"shape mismatch for {k}: {np.shape(state[k])} vs {p.data.shape}")
+    for k, p in named.items():
+        p.data = np.array(state[k], dtype=np.float32)
 
 
 def mask_key_bias(mask: np.ndarray, num_tokens: int) -> np.ndarray:
@@ -231,20 +258,13 @@ class MaskedTransformer:
 
     # ------------------------------------------------------------------
     def named_parameters(self):
-        out = {"embed.weight": self.embed.weight, "embed.bias": self.embed.bias,
-               "class_token": self.class_token}
+        out = self.embed.named_parameters("embed")
+        out["class_token"] = self.class_token
         if self.positions is not None:
             out["positions"] = self.positions
-        for i, blk in enumerate(self.blocks):
-            names = ["ln1.gamma", "ln1.beta", "qkv.weight", "qkv.bias",
-                     "proj.weight", "proj.bias", "ln2.gamma", "ln2.beta",
-                     "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"]
-            for name, p in zip(names, blk.parameters()):
-                out[f"blocks.{i}.{name}"] = p
-        out["final_norm.gamma"] = self.final_norm.gamma
-        out["final_norm.beta"] = self.final_norm.beta
-        out["head.weight"] = self.head.weight
-        out["head.bias"] = self.head.bias
+        out.update(named_layer_parameters("blocks", self.blocks))
+        out.update(self.final_norm.named_parameters("final_norm"))
+        out.update(self.head.named_parameters("head"))
         return out
 
     def parameters(self):
@@ -255,18 +275,10 @@ class MaskedTransformer:
             p.requires_grad = trainable
 
     def state_dict(self):
-        return {k: v.data.copy() for k, v in self.named_parameters().items()}
+        return state_snapshot(self.named_parameters())
 
     def load_state(self, state: dict):
-        params = self.named_parameters()
-        if set(state) != set(params):
-            missing = set(params) ^ set(state)
-            raise ContractError(f"state dict mismatch: {sorted(missing)}")
-        for k, p in params.items():
-            if state[k].shape != p.data.shape:
-                raise ContractError(
-                    f"shape mismatch for {k}: {state[k].shape} vs {p.data.shape}")
-            p.data = state[k].astype(np.float32).copy()
+        load_named_state(self.named_parameters(), state)
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,7 @@ def test_16_pipeline_comparison(report, planted12):
                               planted12["sur"], planted12["combined"])
     froyo, _ = train_froyo(clf, ds, StageConfig(
         stage="froyo", epochs=40, masks_per_input=16, inputs_per_batch=56,
-        seed=4, step_decay=0.99, pipeline="froyo", optimizer=_adam(3e-3)))
+        seed=4, step_decay=0.99, optimizer=_adam(3e-3)))
     x_all = ds.tokens[np.random.default_rng(0).permutation(len(ds.tokens))[:200]]
     logits, phi, _ = combined.explain(x_all)
     pred = np.argmax(logits, axis=1)
@@ -493,7 +493,7 @@ def test_16_pipeline_comparison(report, planted12):
 
     _, drec = train_duo(clf, ds, StageConfig(
         stage="duo", epochs=1, masks_per_input=8, inputs_per_batch=8,
-        seed=5, pipeline="duo", optimizer=_adam(1e-3)))
+        seed=5, optimizer=_adam(1e-3)))
     trace = drec.extra["gradient_conflict_trace"]
     negatives = int(sum(c < 0 for c in trace))
     ok = ins_froyo <= ins_side and negatives >= 1

@@ -164,14 +164,18 @@ def test_pipeline_writes_artifacts(pipeline_artifacts):
         assert os.path.exists(path + ".config.json")
 
 
+def _explain(capsys, artifacts, data, index, out):
+    return run(capsys, "explain", "--data", data,
+               "--classifier", artifacts["classifier"],
+               "--surrogate", artifacts["surrogate"],
+               "--explainer", artifacts["explainer"],
+               "--index", str(index), "--out", str(out))
+
+
 def test_explain_emits_valid_json(pipeline_artifacts, capsys, tmp_path):
     out = str(tmp_path / "exp.json")
-    code, stdout, _ = run(capsys, "explain",
-                          "--data", pipeline_artifacts["data"],
-                          "--classifier", pipeline_artifacts["classifier"],
-                          "--surrogate", pipeline_artifacts["surrogate"],
-                          "--explainer", pipeline_artifacts["explainer"],
-                          "--index", "3", "--out", out)
+    code, stdout, _ = _explain(capsys, pipeline_artifacts, pipeline_artifacts["data"],
+                               3, out)
     assert code == EXIT_OK
     summary = json.loads(stdout)
     assert summary["efficiency_residual"] < 1e-5
@@ -182,6 +186,31 @@ def test_explain_emits_valid_json(pipeline_artifacts, capsys, tmp_path):
     assert phi.shape == (6, 2)
     assert len(result["logits"]) == 2
     assert result["predicted_class"] in (0, 1)
+
+
+@pytest.mark.parametrize("index", [80, -1])  # the dataset holds 80 samples
+def test_explain_index_outside_dataset_exits_1(pipeline_artifacts, capsys, tmp_path,
+                                               index):
+    out = tmp_path / "exp.json"
+    code, _, err = _explain(capsys, pipeline_artifacts, pipeline_artifacts["data"],
+                            index, out)
+    assert code == EXIT_USAGE
+    assert "--index" in err
+    assert not out.exists()
+
+
+def test_explain_non_finite_residual_exits_2(pipeline_artifacts, capsys, tmp_path):
+    from sideshap.data import SyntheticDataset
+
+    ds = SyntheticDataset.load(pipeline_artifacts["data"])
+    ds.tokens[5, 2, 0] = np.nan
+    data = str(tmp_path / "nan.npz")
+    ds.save(data)
+    out = tmp_path / "exp.json"
+    code, _, err = _explain(capsys, pipeline_artifacts, data, 5, out)
+    assert code == EXIT_CHECK_FAILED
+    assert "residual nan" in err
+    assert not out.exists()
 
 
 def test_evaluate_reports_aucs(pipeline_artifacts, capsys, tmp_path):
@@ -197,6 +226,17 @@ def test_evaluate_reports_aucs(pipeline_artifacts, capsys, tmp_path):
     assert payload["samples"] == 4
     assert 0.0 <= payload["insertion_auc"] <= 1.0
     assert 0.0 <= payload["deletion_auc"] <= 1.0
+
+
+def test_explainer_head_depth_is_not_a_config_key(pipeline_artifacts, capsys, tmp_path):
+    code, _, err = run(capsys, "train-explainer",
+                       "--data", pipeline_artifacts["data"],
+                       "--classifier", pipeline_artifacts["classifier"],
+                       "--surrogate", pipeline_artifacts["surrogate"],
+                       "--out", str(tmp_path / "e.ckpt"),
+                       "--set", "side.explainer_head_depth=1", *FAST_TRAIN)
+    assert code == EXIT_USAGE
+    assert "unknown" in err
 
 
 def test_role_mismatch_exits_3(pipeline_artifacts, capsys, tmp_path):

@@ -141,6 +141,11 @@ def test_side_state_roundtrip_and_mismatch():
     state.pop("side_norm.gamma")
     with pytest.raises(ContractError):
         other.load_side_state(state)
+    # same names, other widths: a reduction-2 state into a reduction-4 branch
+    wide = SideTunedModel(backbone, SideConfig(reduction=2, role=ROLE_SURROGATE),
+                          seed=12)
+    with pytest.raises(ContractError, match="shape mismatch"):
+        other.load_side_state(wide.side_state_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,6 @@ def test_stage_config_validation():
     with pytest.raises(ContractError):
         quick_stage("explainer", masks_per_input=5)
     with pytest.raises(ContractError):
-        quick_stage("explainer", pipeline="solo")
-    with pytest.raises(ContractError):
         quick_stage("explainer", mask_bank=7)  # must be even
 
 
@@ -166,7 +164,7 @@ def test_explainer_mask_bank_mode(trained_pair):
 
 def test_froyo_trains_only_explanation_head(trained_pair):
     ds, clf, _ = trained_pair
-    model, rec = train_froyo(clf, ds, quick_stage("froyo", pipeline="froyo"))
+    model, rec = train_froyo(clf, ds, quick_stage("froyo"))
     assert state_digest(model.net.state_dict()) == state_digest(clf.state_dict())
     assert np.isfinite(rec.final_loss)
 
@@ -174,7 +172,7 @@ def test_froyo_trains_only_explanation_head(trained_pair):
 def test_duo_trains_jointly_and_records_conflict(trained_pair):
     ds, clf, _ = trained_pair
     before = state_digest(clf.state_dict())
-    model, rec = train_duo(clf, ds, quick_stage("duo", pipeline="duo"))
+    model, rec = train_duo(clf, ds, quick_stage("duo"))
     # the original classifier is untouched; the duo copy moves
     assert state_digest(clf.state_dict()) == before
     assert state_digest(model.net.state_dict()) != before
