@@ -20,12 +20,19 @@ __all__ = [
     "OptimizerConfig",
     "Optimizer",
     "add", "sub", "mul", "div", "neg", "matmul", "reshape", "transpose",
-    "broadcast_to", "concat", "narrow", "tensor_sum", "mean", "square",
+    "broadcast_to", "concat", "narrow", "take", "tensor_sum", "mean", "square",
     "log", "exp", "sqrt", "gelu", "relu", "softmax", "log_softmax",
     "layer_norm",
 ]
 
 _SQRT_2 = np.sqrt(2.0)
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# Abramowitz & Stegun 7.1.26: erf(z) ~ 1 - t P(t) exp(-z^2), t = 1/(1 + p z),
+# |error| <= 1.5e-7 for z >= 0. With z = x/sqrt(2), p is prescaled by
+# 1/sqrt(2); the coefficients of P (highest power first) are halved.
+_AS_P = float(0.3275911 / np.sqrt(2.0))
+_AS_HALF_COEFFS = tuple(0.5 * c for c in (
+    1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
 
 
 class ContractError(ValueError):
@@ -300,6 +307,22 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _result(np.ascontiguousarray(out), ((a, grad_fn),))
 
 
+def take(a: Tensor, indices) -> Tensor:
+    """Rows of ``a`` (along axis 0) at ``indices``; shape indices.shape + a.shape[1:].
+
+    Rows may repeat; the backward pass scatter-adds into each source row.
+    """
+    indices = np.asarray(indices, dtype=np.intp)
+    out = a.data[indices]
+
+    def grad_fn(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, indices, g)
+        return full
+
+    return _result(out, ((a, grad_fn),))
+
+
 # ---------------------------------------------------------------------------
 # reductions and nonlinearities
 
@@ -353,16 +376,45 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Erf-based GELU, x * Phi(x).
+
+    Float64 data uses the exact ``scipy.special.erf``. Float32 data stays in
+    float32 and uses the Abramowitz & Stegun 7.1.26 erf (within 5e-7 of the
+    exact GELU); its exp(-x^2/2) term is the normal density the backward
+    pass needs, so it is computed once.
+    """
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
-    out = x * cdf
+    if x.dtype != np.float32:
+        cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
+        out = x * cdf
+
+        def grad_fn(g):
+            pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+            return g * (cdf + x * pdf)
+
+        return _result(out.astype(x.dtype), ((a, grad_fn),))
+
+    # Phi(x) = 1/2 + sign(x) * (1/2 - tail(|x|)), tail = t P(t) exp(-x^2/2) / 2
+    density = x * x
+    density *= -0.5
+    np.exp(density, out=density)  # exp(-x^2/2)
+    t = np.abs(x)
+    t *= _AS_P
+    t += 1.0
+    np.reciprocal(t, out=t)
+    cdf = t * _AS_HALF_COEFFS[0]
+    for c in _AS_HALF_COEFFS[1:]:
+        cdf += c
+        cdf *= t
+    cdf *= density
+    np.subtract(0.5, cdf, out=cdf)
+    np.copysign(cdf, x, out=cdf)
+    cdf += 0.5
 
     def grad_fn(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return g * (cdf + x * pdf)
+        return g * (cdf + x * density * _INV_SQRT_2PI)
 
-    return _result(out.astype(x.dtype), ((a, grad_fn),))
+    return _result(x * cdf, ((a, grad_fn),))
 
 
 def softmax(a: Tensor) -> Tensor:

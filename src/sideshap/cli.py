@@ -340,19 +340,31 @@ def cmd_evaluate(args):
     combined, ds = _load_combined(args)
     rng = np.random.default_rng(args.seed)
     x_test, _ = ds.split("test")
+    if args.samples < 1 or not len(x_test):
+        raise UsageError(f"--samples {args.samples} needs a positive count and a test split")
     idx = rng.permutation(len(x_test))[:args.samples]
-    ins, dele = [], []
+    ins, dele, residuals = [], [], []
     for i in idx:
-        logits, phi, _ = combined.explain(x_test[i][None])
+        logits, phi, residual = combined.explain(x_test[i][None])
         c = int(np.argmax(logits[0]))
         curve = insertion_deletion(
             lambda masks: surrogate_mask_values(combined.surrogate, x_test[i], masks)[:, c],
             phi[0, :, c])
         ins.append(curve.insertion_auc)
         dele.append(curve.deletion_auc)
+        residuals.append(residual)
+    residual = float(np.max(residuals))  # NaN if any residual is NaN
+    if not residual < 1e-5:
+        print(f"efficiency residual {residual:.3e} is not finite or exceeds 1e-5",
+              file=sys.stderr)
+        return EXIT_CHECK_FAILED
     result = {"samples": int(len(idx)),
               "insertion_auc": float(np.mean(ins)),
-              "deletion_auc": float(np.mean(dele))}
+              "deletion_auc": float(np.mean(dele)),
+              "efficiency_residual": residual}
+    if not (np.isfinite(result["insertion_auc"]) and np.isfinite(result["deletion_auc"])):
+        print(f"non-finite AUC: {json.dumps(result)}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     path = out_path(args, "evaluation.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2)

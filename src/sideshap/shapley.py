@@ -51,6 +51,9 @@ def masks_to_bitmask(masks: np.ndarray) -> np.ndarray:
 class Game:
     """A set function on d players with memoized evaluations.
 
+    Each distinct coalition is evaluated once, also when it repeats within
+    one batch.
+
     ``value`` maps a batch of indicator vectors (m, d) to values of shape
     (m,) or (m, num_outputs).
     """
@@ -65,17 +68,19 @@ class Game:
         if masks.ndim == 1:
             masks = masks[None]
         keys = masks_to_bitmask(masks)
-        missing_idx = [i for i, k in enumerate(keys) if int(k) not in self._memo]
-        if missing_idx:
-            sub = masks[missing_idx]
+        missing: dict[int, int] = {}  # each unseen coalition's first row
+        for i, k in enumerate(keys.tolist()):
+            if k not in self._memo:
+                missing.setdefault(k, i)
+        if missing:
+            sub = masks[list(missing.values())]
             vals = np.asarray(self._value(sub), dtype=np.float64)
             if vals.shape[0] != sub.shape[0]:
                 raise ValueError("game value returned wrong batch size")
             if vals.ndim == 1:
                 vals = vals[:, None]
-            for i, row in zip(missing_idx, vals):
-                self._memo[int(keys[i])] = row
-        out = np.stack([self._memo[int(k)] for k in keys])
+            self._memo.update(zip(missing, vals))
+        out = np.stack([self._memo[k] for k in keys.tolist()])
         return out[:, 0] if out.shape[1] == 1 else out
 
     def grand_value(self) -> np.ndarray:

@@ -22,8 +22,8 @@ from .transformer import (
     ModelConfig,
     MsaBlock,
     block_param_count,
+    by_kept_count,
     load_named_state,
-    mask_key_bias,
     named_layer_parameters,
     state_snapshot,
 )
@@ -87,27 +87,36 @@ class SideTunedModel:
             ] + [Linear(rng, hs, c.num_classes)]
 
     # ------------------------------------------------------------------
-    def _side_pass(self, states, mask_bias):
+    def _side_pass(self, states):
         z = None
         for tap_fc, block, state in zip(self.downsamplers, self.side_blocks, states):
             tap = tap_fc(state)
             inp = tap if z is None else z + tap
-            z = block(inp, mask_bias)
-        return self.side_norm(z)  # (batch, 1 + num_tokens, side_hidden)
+            z = block(inp, None)
+        return self.side_norm(z)  # (batch, tokens in the states, side_hidden)
 
-    def surrogate_logits(self, tokens: np.ndarray, mask: np.ndarray | None,
-                         backbone_states=None) -> Tensor:
-        if self.side_config.role != ROLE_SURROGATE:
-            raise ContractError("surrogate_forward called on a non-surrogate branch")
-        if backbone_states is None:
-            backbone_states = self.backbone.block_states(tokens, mask)
-        bias = None
-        if mask is not None:
-            bias = mask_key_bias(mask, self.backbone.config.num_tokens)
-        seq = self._side_pass(backbone_states, bias)
+    def _surrogate_head(self, backbone_states) -> Tensor:
+        seq = self._side_pass(backbone_states)
         cls = ad.reshape(ad.narrow(seq, 1, 0, 1),
                          (seq.shape[0], self.side_hidden))
         return self.head_layers[0](cls)
+
+    def surrogate_logits(self, tokens: np.ndarray, mask: np.ndarray | None,
+                         backbone_states=None) -> Tensor:
+        """Surrogate logits under mask s; the side branch runs on the
+        backbone's compacted states. ``backbone_states`` (unmasked only)
+        reuses states that are already computed."""
+        if self.side_config.role != ROLE_SURROGATE:
+            raise ContractError("surrogate_forward called on a non-surrogate branch")
+        if mask is None:
+            if backbone_states is None:
+                backbone_states = self.backbone.block_states(tokens, None)
+            return self._surrogate_head(backbone_states)
+        if backbone_states is not None:
+            raise ContractError("backbone_states are unmasked; they cannot be used with a mask")
+        return by_kept_count(
+            lambda t, m: self._surrogate_head(self.backbone.block_states(t, m)),
+            tokens, mask, self.backbone.config.num_tokens)
 
     def surrogate_forward(self, tokens: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
         """Class probability distribution for masked input x_s."""
@@ -120,7 +129,7 @@ class SideTunedModel:
         if backbone_states is None:
             backbone_states = self.backbone.block_states(tokens, None)
         c = self.backbone.config
-        seq = self._side_pass(backbone_states, None)
+        seq = self._side_pass(backbone_states)
         h = ad.narrow(seq, 1, 1, c.num_tokens)  # per-patch features
         for layer in self.head_layers[:-1]:
             h = ad.gelu(layer(h))

@@ -2,9 +2,12 @@
 
 Tokens are generic vectors; a linear projection lifts them to the hidden
 width, a learned class token is prepended at index 0, and learned positional
-embeddings are added. Feature removal is done purely through the attention
-mask: masked tokens are hidden as *keys* in every attention layer, so no
-unmasked token (in particular the class token) can read their content.
+embeddings are added. Feature removal means that no token can read a
+removed token as an attention key. Since a removed token then never reaches
+the class token, a masked pass runs on the class token and the kept tokens
+alone (token compaction), each kept token with its own position row.
+``mask_key_bias`` builds the equivalent additive key bias, kept as the
+reference the compacted pass is tested against.
 """
 
 from __future__ import annotations
@@ -110,10 +113,12 @@ class MsaBlock:
         self.fc2 = Linear(rng, mlp_hidden, hidden, trainable)
 
     def attention(self, t: Tensor, key_bias: np.ndarray | None) -> Tensor:
-        """Masked multi-head self-attention.
+        """Multi-head self-attention.
 
-        key_bias: (batch, 1, 1, T) additive scores, 0 for visible keys and
-        NEG_MASK_VALUE for removed ones. Masked tokens still act as queries.
+        key_bias: None, or (batch, 1, 1, T) additive scores from
+        ``mask_key_bias``, 0 for visible keys and NEG_MASK_VALUE for removed
+        ones. Masked passes compact their tokens instead; the bias serves
+        as their test reference.
         """
         b, n, h = t.shape
         k_h, d_h = self.heads, self.head_dim
@@ -190,6 +195,48 @@ def mask_key_bias(mask: np.ndarray, num_tokens: int) -> np.ndarray:
     return bias
 
 
+def masked_batch(tokens: np.ndarray, mask: np.ndarray, num_tokens: int):
+    """Checked (tokens, mask): (batch, d, token_input_dim) float32 and (batch, d) 0/1.
+
+    A single token row or mask row is broadcast over the other's batch. Any
+    mask value other than 0 or 1 (NaN included) is a ContractError.
+    """
+    tokens = np.asarray(tokens, dtype=np.float32)
+    if tokens.ndim == 2:
+        tokens = tokens[None]
+    mask = np.asarray(mask)
+    if mask.ndim == 1:
+        mask = mask[None, :]
+    if mask.ndim != 2 or mask.shape[-1] != num_tokens:
+        raise ContractError(
+            f"mask length {mask.shape[-1]} != num_tokens {num_tokens}")
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ContractError("mask entries must be 0 or 1")
+    try:
+        b = np.broadcast_shapes(tokens.shape[:1], mask.shape[:1])[0]
+    except ValueError:
+        raise ContractError(
+            f"{tokens.shape[0]} token rows and {mask.shape[0]} mask rows do not broadcast")
+    return (np.broadcast_to(tokens, (b,) + tokens.shape[1:]),
+            np.broadcast_to(mask, (b, num_tokens)))
+
+
+def by_kept_count(run, tokens: np.ndarray, mask: np.ndarray, num_tokens: int) -> Tensor:
+    """``run(tokens, mask)`` on each group of rows that keep equally many tokens.
+
+    ``run`` returns one output row per input row; the groups' outputs come
+    back in input order.
+    """
+    tokens, mask = masked_batch(tokens, mask, num_tokens)
+    counts = mask.sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    starts = np.flatnonzero(np.diff(counts[order])) + 1
+    if not len(starts):
+        return run(tokens, mask)
+    outs = [run(tokens[rows], mask[rows]) for rows in np.split(order, starts)]
+    return ad.take(ad.concat(outs, axis=0), np.argsort(order))
+
+
 class MaskedTransformer:
     """Transformer classifier f supporting attention-mask feature removal."""
 
@@ -215,31 +262,52 @@ class MaskedTransformer:
         self.head = Linear(rng, c.hidden, c.num_classes, trainable)
 
     # ------------------------------------------------------------------
-    def embed_tokens(self, tokens: np.ndarray) -> Tensor:
-        """tokens: (batch, d, token_input_dim) -> (batch, d+1, hidden)."""
-        tokens = np.asarray(tokens, dtype=np.float32)
-        if tokens.ndim == 2:
-            tokens = tokens[None]
-        b = tokens.shape[0]
-        if tokens.shape[1] != self.config.num_tokens:
+    def embed_tokens(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+        """tokens: (batch, d, token_input_dim) -> (batch, 1 + kept, hidden).
+
+        Without a mask, or with one that keeps every token, all d tokens are
+        embedded. Otherwise only the kept tokens are, each with its own
+        position row, and every row must keep equally many.
+        """
+        c = self.config
+        if mask is None:
+            tokens = np.asarray(tokens, dtype=np.float32)
+            if tokens.ndim == 2:
+                tokens = tokens[None]
+        else:
+            tokens, mask = masked_batch(tokens, mask, c.num_tokens)
+        if tokens.shape[1] != c.num_tokens:
             raise ContractError(
-                f"expected {self.config.num_tokens} tokens, got {tokens.shape[1]}")
+                f"expected {c.num_tokens} tokens, got {tokens.shape[1]}")
+        b = tokens.shape[0]
+        positions = self.positions
+        if mask is not None and not mask.all():
+            counts = mask.sum(axis=1)
+            if np.any(counts != counts[0]):
+                raise ContractError("rows of a compacted batch keep different token counts")
+            kept = np.nonzero(mask)[1].reshape(b, -1)
+            tokens = tokens[np.arange(b)[:, None], kept]
+            if positions is not None:
+                index = np.concatenate([np.zeros((b, 1), dtype=np.intp), kept + 1], axis=1)
+                positions = ad.take(
+                    ad.reshape(positions, (c.num_tokens + 1, c.hidden)), index)
         x = self.embed(Tensor(tokens))
-        cls = ad.broadcast_to(self.class_token, (b, 1, self.config.hidden))
+        cls = ad.broadcast_to(self.class_token, (b, 1, c.hidden))
         x = ad.concat([cls, x], axis=1)
-        if self.positions is not None:
-            x = x + self.positions
+        if positions is not None:
+            x = x + positions
         return x
 
     def block_states(self, tokens: np.ndarray, mask: np.ndarray | None):
-        """Run all blocks, returning the post-residual state after each one."""
-        bias = None
-        if mask is not None:
-            bias = mask_key_bias(mask, self.config.num_tokens)
-        x = self.embed_tokens(tokens)
+        """Run all blocks, returning the post-residual state after each one.
+
+        Under a mask the states hold the class token and the kept tokens
+        only (see ``embed_tokens``).
+        """
+        x = self.embed_tokens(tokens, mask)
         states = []
         for block in self.blocks:
-            x = block(x, bias)
+            x = block(x, None)
             states.append(x)
         return states
 
@@ -250,8 +318,11 @@ class MaskedTransformer:
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Class logits for a (batch of) token sequence(s) under mask s."""
-        states = self.block_states(tokens, mask)
-        return self.logits_from_state(states[-1])
+        if mask is None:
+            return self.logits_from_state(self.block_states(tokens, None)[-1])
+        return by_kept_count(
+            lambda t, m: self.logits_from_state(self.block_states(t, m)[-1]),
+            tokens, mask, self.config.num_tokens)
 
     def predict_proba(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         return ad.softmax(self.forward(tokens, mask)).numpy()

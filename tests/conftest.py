@@ -47,3 +47,47 @@ def relative_error(a, b):
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return float(np.abs(a - b).max() / denom)
+
+
+def key_bias_states(model, tokens, mask):
+    """Backbone block states with masked tokens hidden by ``mask_key_bias``.
+
+    The reference for the compacted pass: every token is kept, and removed
+    tokens are hidden as attention keys in every block.
+    """
+    from sideshap.transformer import mask_key_bias
+
+    bias = mask_key_bias(mask, model.config.num_tokens)
+    x = model.embed_tokens(tokens)
+    states = []
+    for block in model.blocks:
+        x = block(x, bias)
+        states.append(x)
+    return states
+
+
+def key_bias_logits(model, tokens, mask):
+    return model.logits_from_state(key_bias_states(model, tokens, mask)[-1])
+
+
+def key_bias_surrogate_logits(surrogate, tokens, mask):
+    """Surrogate logits with the side branch hidden by the same key bias."""
+    import sideshap.autodiff as ad
+    from sideshap.transformer import mask_key_bias
+
+    bias = mask_key_bias(mask, surrogate.backbone.config.num_tokens)
+    z = None
+    for tap_fc, block, state in zip(surrogate.downsamplers, surrogate.side_blocks,
+                                    key_bias_states(surrogate.backbone, tokens, mask)):
+        tap = tap_fc(state)
+        z = block(tap if z is None else z + tap, bias)
+    seq = surrogate.side_norm(z)
+    cls = ad.reshape(ad.narrow(seq, 1, 0, 1), (seq.shape[0], surrogate.side_hidden))
+    return surrogate.head_layers[0](cls)
+
+
+def mixed_masks(rng, n, d):
+    """``n`` random masks of mixed sizes, the empty and the full mask included."""
+    keep = rng.random((n, d)) < rng.random((n, 1))
+    keep[0], keep[1] = False, True
+    return keep.astype(np.float32)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import sideshap.autodiff as ad
 from sideshap.autodiff import ContractError, Optimizer, OptimizerConfig, Tensor
 
+from scipy.special import erf
+
 from conftest import backward_gradient, fd_gradient, relative_error
 
 
@@ -259,3 +261,38 @@ def test_training_determinism_bitwise():
         return w.data.tobytes()
 
     assert run() == run()
+
+
+def test_take_gradient_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((5, 3))
+    weights = Tensor(rng.standard_normal((2, 4, 3)), dtype=np.float64)
+    index = np.array([[0, 4, 4, 2], [2, 2, 0, 1]])  # repeats, row 3 never taken
+
+    def build(ts):
+        return ad.tensor_sum(ad.take(ts[0], index) * weights)
+
+    analytic = backward_gradient(build, [a])[0]
+    assert relative_error(analytic, fd_gradient(build, [a])[0]) < 1e-8
+    np.testing.assert_array_equal(analytic[3], 0.0)
+    np.testing.assert_array_equal(ad.take(Tensor(a), index).data, a[index])
+
+
+def test_float32_gelu_matches_erf_gelu():
+    x = np.concatenate([np.linspace(-10, 10, 40001), [-1e4, 1e4]]).astype(np.float32)
+    t = Tensor(x, requires_grad=True)
+    y = ad.gelu(t)
+    ad.tensor_sum(y).backward()
+    assert y.dtype == np.float32 and t.grad.dtype == np.float32
+    x64 = x.astype(np.float64)
+    cdf = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
+    assert np.abs(y.data - x64 * cdf).max() <= 1e-6
+    pdf = np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+    assert np.abs(t.grad - (cdf + x64 * pdf)).max() <= 1e-6
+
+
+def test_float64_gelu_is_erf_gelu():
+    x = np.linspace(-10, 10, 2001)
+    y = ad.gelu(Tensor(x, dtype=np.float64)).data
+    assert y.dtype == np.float64
+    assert np.abs(y - x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))).max() <= 1e-12

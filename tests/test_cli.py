@@ -226,6 +226,36 @@ def test_evaluate_reports_aucs(pipeline_artifacts, capsys, tmp_path):
     assert payload["samples"] == 4
     assert 0.0 <= payload["insertion_auc"] <= 1.0
     assert 0.0 <= payload["deletion_auc"] <= 1.0
+    assert payload["efficiency_residual"] < 1e-5
+
+
+def _evaluate(capsys, artifacts, data, out, samples="4"):
+    return run(capsys, "evaluate", "--data", data,
+               "--classifier", artifacts["classifier"],
+               "--surrogate", artifacts["surrogate"],
+               "--explainer", artifacts["explainer"],
+               "--samples", samples, "--out", str(out))
+
+
+def test_evaluate_non_finite_result_exits_2(pipeline_artifacts, capsys, tmp_path):
+    from sideshap.data import SyntheticDataset
+
+    ds = SyntheticDataset.load(pipeline_artifacts["data"])
+    ds.tokens[ds.splits["test"], 0, 0] = np.nan
+    data = str(tmp_path / "nan.npz")
+    ds.save(data)
+    out = tmp_path / "eval.json"
+    code, stdout, err = _evaluate(capsys, pipeline_artifacts, data, out)
+    assert code == EXIT_CHECK_FAILED
+    assert "not finite" in err
+    assert not out.exists() and stdout == ""
+
+
+def test_evaluate_without_samples_is_usage_error(pipeline_artifacts, capsys, tmp_path):
+    out = tmp_path / "eval.json"
+    code, _, _ = _evaluate(capsys, pipeline_artifacts, pipeline_artifacts["data"], out, "0")
+    assert code == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_explainer_head_depth_is_not_a_config_key(pipeline_artifacts, capsys, tmp_path):

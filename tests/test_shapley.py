@@ -80,6 +80,25 @@ def test_game_memoizes_evaluations():
     assert sum(calls) == 8
 
 
+def test_game_evaluates_each_distinct_coalition_once():
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal((6, 2))
+    seen = []
+
+    def v(masks):
+        seen.append(masks_to_bitmask(masks))
+        return np.asarray(masks) @ w + np.asarray(masks).prod(axis=1, keepdims=True)
+
+    masks = (rng.random((300, 6)) < 0.5).astype(np.float64)  # many repeats
+    game = Game(6, v)
+    out = game.evaluate(masks)
+    keys = np.concatenate(seen)
+    assert len(keys) == len(np.unique(keys)) == len(np.unique(masks_to_bitmask(masks)))
+    np.testing.assert_array_equal(out, v(masks))
+    np.testing.assert_array_equal(game.evaluate(masks[::-1]), out[::-1])
+    assert len(seen) == 2  # one evaluation batch plus the direct call; the rest is memoized
+
+
 # ---------------------------------------------------------------------------
 # axioms as property tests
 

@@ -16,6 +16,8 @@ from sideshap.sidenet import (
 )
 from sideshap.transformer import PRESETS, MaskedTransformer, ModelConfig, count_params
 
+from conftest import key_bias_surrogate_logits, mixed_masks, relative_error
+
 TOY = ModelConfig(depth=2, hidden=32, heads=4, num_tokens=8,
                   token_input_dim=5, num_classes=3)
 
@@ -75,6 +77,50 @@ def test_surrogate_inherits_mask_independence():
     x2[mask == 0] = rng.standard_normal(((mask == 0).sum(), 5)) * 5
     p2 = sur.surrogate_forward(x2, mask)
     assert np.abs(p1 - p2).max() < 1e-6
+
+
+def test_compacted_surrogate_matches_key_bias():
+    """240 masks of mixed |s| in one batch, empty and full mask included."""
+    _, sur = build_pair(seed=6)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((240, 8, 5)).astype(np.float32)
+    mask = mixed_masks(rng, 240, 8)
+    y = sur.surrogate_logits(x, mask).numpy()
+    ref = key_bias_surrogate_logits(sur, x, mask).numpy()
+    assert np.abs(y - ref).max() <= 1e-5
+    perm = rng.permutation(240)  # other groupings, same rows
+    assert np.abs(sur.surrogate_logits(x[perm], mask[perm]).numpy() - y[perm]).max() <= 1e-5
+
+
+def test_compacted_surrogate_gradients_match_key_bias():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((32, 8, 5)).astype(np.float32)
+    mask = mixed_masks(rng, 32, 8)
+    grads = []
+    for logits_fn in (lambda s: s.surrogate_logits(x, mask),
+                      lambda s: key_bias_surrogate_logits(s, x, mask)):
+        _, sur = build_pair(seed=6)
+        ad.mean(ad.square(logits_fn(sur))).backward()
+        grads.append({k: p.grad for k, p in sur.named_side_parameters().items()})
+    for k in grads[1]:
+        assert relative_error(grads[0][k], grads[1][k]) <= 1e-5, k
+
+
+@pytest.mark.parametrize("value", [0.5, np.nan])
+def test_surrogate_rejects_non_binary_mask(value):
+    _, sur = build_pair()
+    mask = np.ones((2, 8))
+    mask[0, 5] = value
+    with pytest.raises(ContractError):
+        sur.surrogate_logits(np.zeros((2, 8, 5), dtype=np.float32), mask)
+
+
+def test_surrogate_rejects_mask_with_backbone_states():
+    backbone, sur = build_pair()
+    x = np.zeros((2, 8, 5), dtype=np.float32)
+    states = backbone.block_states(x, None)
+    with pytest.raises(ContractError):
+        sur.surrogate_logits(x, np.ones((2, 8)), backbone_states=states)
 
 
 def test_training_side_branch_never_touches_backbone():

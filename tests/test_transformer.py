@@ -16,6 +16,8 @@ from sideshap.transformer import (
     mask_key_bias,
 )
 
+from conftest import key_bias_logits, mixed_masks, relative_error
+
 TOY = ModelConfig(depth=2, hidden=32, heads=4, num_tokens=8,
                   token_input_dim=5, num_classes=3)
 
@@ -58,6 +60,63 @@ def test_empty_mask_output_is_input_independent(toy_model):
     a = toy_model.forward(rng.standard_normal((1, 8, 5)), np.zeros((1, 8))).numpy()
     b = toy_model.forward(rng.standard_normal((1, 8, 5)), np.zeros((1, 8))).numpy()
     np.testing.assert_allclose(a, b, atol=1e-6)
+
+
+def test_compacted_forward_matches_key_bias(toy_model):
+    """240 masks of mixed |s| in one batch, empty and full mask included:
+    the compacted pass agrees with the key-bias reference row for row."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((240, 8, 5)).astype(np.float32)
+    mask = mixed_masks(rng, 240, 8)
+    assert len(np.unique(mask.sum(axis=1))) == 9
+    y = toy_model.forward(x, mask).numpy()
+    ref = key_bias_logits(toy_model, x, mask).numpy()
+    assert np.abs(y - ref).max() <= 1e-5
+    perm = rng.permutation(240)  # other groupings, same rows
+    assert np.abs(toy_model.forward(x[perm], mask[perm]).numpy() - y[perm]).max() <= 1e-5
+
+
+def test_compacted_forward_gradients_match_key_bias():
+    """Every classifier gradient, positions (gathered rows) included."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((24, 8, 5)).astype(np.float32)
+    mask = mixed_masks(rng, 24, 8)
+    grads = []
+    for logits_fn in (lambda m: m.forward(x, mask), lambda m: key_bias_logits(m, x, mask)):
+        model = MaskedTransformer(TOY, seed=42)
+        ad.mean(ad.square(logits_fn(model))).backward()
+        grads.append({k: p.grad for k, p in model.named_parameters().items()})
+    for k in grads[1]:
+        assert relative_error(grads[0][k], grads[1][k]) <= 1e-5, k
+
+
+def test_single_mask_row_broadcasts_over_batch(toy_model):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4, 8, 5)).astype(np.float32)
+    mask = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.float32)
+    np.testing.assert_array_equal(toy_model.forward(x, mask).numpy(),
+                                  toy_model.forward(x, np.tile(mask, (4, 1))).numpy())
+    with pytest.raises(ContractError):
+        toy_model.forward(x, np.ones((3, 8)))
+
+
+@pytest.mark.parametrize("value", [0.5, np.nan, 2.0, -1.0])
+def test_non_binary_mask_raises(toy_model, value):
+    x = np.zeros((2, 8, 5), dtype=np.float32)
+    mask = np.ones((2, 8))
+    mask[1, 3] = value
+    with pytest.raises(ContractError):
+        toy_model.forward(x, mask)
+
+
+def test_block_states_rejects_uneven_kept_counts(toy_model):
+    x = np.zeros((2, 8, 5), dtype=np.float32)
+    mask = np.ones((2, 8))
+    mask[0, 0] = 0
+    with pytest.raises(ContractError):
+        toy_model.block_states(x, mask)
+    states = toy_model.block_states(x[:1], mask[:1])
+    assert states[-1].shape == (1, 8, 32)  # class token + 7 kept
 
 
 def test_mask_key_bias_layout():
