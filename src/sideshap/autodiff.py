@@ -8,6 +8,7 @@ float32; float64 graphs are supported for tight finite-difference checks.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "reshape", "transpose",
     "broadcast_to", "concat", "narrow", "take", "tensor_sum", "mean", "square",
     "log", "exp", "sqrt", "gelu", "relu", "softmax", "log_softmax",
-    "layer_norm",
+    "layer_norm", "no_grad",
 ]
 
 _SQRT_2 = np.sqrt(2.0)
@@ -167,8 +168,25 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph: every op inside returns a Tensor without parents."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data, parents) -> Tensor:
     # track gradients only when some input participates in the graph
+    if not _grad_enabled:
+        return Tensor(data)
     tracked = tuple((p, fn) for p, fn in parents if _needs_grad(p))
     return Tensor(data, _parents=tracked)
 
@@ -186,11 +204,13 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str):
+def _broadcast(fn, a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """``fn(a.data, b.data)``; numpy's shape check becomes a DimensionError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return fn(a.data, b.data)
     except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+        raise DimensionError(
+            f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +218,7 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    out = _broadcast(np.add, a, b, "add")
     return _result(out, (
         (a, lambda g: _unbroadcast(g, a.shape)),
         (b, lambda g: _unbroadcast(g, b.shape)),
@@ -207,8 +226,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    out = a.data - b.data
+    out = _broadcast(np.subtract, a, b, "sub")
     return _result(out, (
         (a, lambda g: _unbroadcast(g, a.shape)),
         (b, lambda g: _unbroadcast(-g, b.shape)),
@@ -216,8 +234,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
+    out = _broadcast(np.multiply, a, b, "mul")
     return _result(out, (
         (a, lambda g: _unbroadcast(g * b.data, a.shape)),
         (b, lambda g: _unbroadcast(g * a.data, b.shape)),
@@ -225,10 +242,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
     if np.any(b.data == 0):
         raise ContractError("div: zero denominator")
-    out = a.data / b.data
+    out = _broadcast(np.divide, a, b, "div")
     return _result(out, (
         (a, lambda g: _unbroadcast(g / b.data, a.shape)),
         (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),

@@ -183,6 +183,10 @@ def _load_classifier(path) -> MaskedTransformer:
 
 def _load_branch(path, classifier, role) -> SideTunedModel:
     ck = load_checkpoint(path, expected_role=role)
+    if ck.config.get("model") != classifier.config.to_dict():
+        raise ContractError(
+            f"{role} {path} was trained on model {ck.config.get('model')}, "
+            f"not on the classifier's {classifier.config.to_dict()}")
     side = SideConfig(**ck.config["side"])
     branch = SideTunedModel(classifier, side, seed=0)
     branch.load_side_state(ck.state)

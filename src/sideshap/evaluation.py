@@ -220,6 +220,13 @@ def analytic_memory_report(config: ModelConfig, side: SideConfig) -> dict:
 
 def efficiency_report(config: ModelConfig, reduction: int = 8,
                       explainer_head_depth: int = 3) -> EfficiencyReport:
+    """Analytic parameter, FLOPs and memory accounting at one reduction.
+
+    The "combined" figure counts the classifier plus the explainer branch on
+    the shared backbone pass. ``CombinedModel.explain`` also runs the
+    surrogate branch on that pass, for v(x_1), and a class-token-only pass of
+    backbone and surrogate, for v(x_0); neither is counted here.
+    """
     sur = SideConfig(reduction=reduction, role=ROLE_SURROGATE)
     exp = SideConfig(reduction=reduction, role=ROLE_EXPLAINER,
                      explainer_head_depth=explainer_head_depth)

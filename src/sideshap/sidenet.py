@@ -202,19 +202,28 @@ class CombinedModel:
     def config(self) -> ModelConfig:
         return self.classifier.config
 
+    def _single_pass(self, tokens: np.ndarray):
+        """One unmasked backbone pass: its states, y_main logits and raw grid."""
+        states = self.classifier.block_states(tokens, None)
+        logits = self.classifier.logits_from_state(states[-1]).numpy()
+        raw = self.explainer.explainer_raw(tokens, backbone_states=states).numpy()
+        return states, logits, raw
+
     def forward(self, tokens: np.ndarray):
         """One backbone pass feeding both the original head and the explainer.
 
         Returns (y_main logits, raw attribution grid) as numpy arrays.
         """
-        states = self.classifier.block_states(tokens, None)
-        logits = self.classifier.logits_from_state(states[-1]).numpy()
-        raw = self.explainer.explainer_raw(tokens, backbone_states=states).numpy()
+        with ad.no_grad():
+            _, logits, raw = self._single_pass(tokens)
         return logits, raw
 
     def explain(self, tokens: np.ndarray):
         """Prediction plus efficiency-normalized attributions for all classes.
 
+        The backbone runs once: v(x_1) is the surrogate on the same unmasked
+        states (an all-ones mask is bit-equal to no mask), and v(x_0) is a
+        pass over the class token alone. No autodiff graph is recorded.
         Returns (logits, normalized attribution (batch, d, C), residual).
         """
         from .shapley import efficiency_normalize_grid
@@ -222,12 +231,12 @@ class CombinedModel:
         tokens = np.asarray(tokens, dtype=np.float32)
         if tokens.ndim == 2:
             tokens = tokens[None]
-        logits, raw = self.forward(tokens)
-        d = self.config.num_tokens
-        ones = np.ones((tokens.shape[0], d), dtype=np.float32)
-        zeros = np.zeros_like(ones)
-        v1 = self.surrogate.surrogate_forward(tokens, ones)  # (b, C)
-        v0 = self.surrogate.surrogate_forward(tokens, zeros)
+        with ad.no_grad():
+            states, logits, raw = self._single_pass(tokens)
+            v1 = ad.softmax(self.surrogate.surrogate_logits(
+                tokens, None, backbone_states=states)).numpy()  # (b, C)
+            zeros = np.zeros((tokens.shape[0], self.config.num_tokens), dtype=np.float32)
+            v0 = self.surrogate.surrogate_forward(tokens, zeros)
         normalized = efficiency_normalize_grid(raw, v1, v0)
         residual = np.abs(normalized.sum(axis=1) - (v1 - v0)).max()
         return logits, normalized, float(residual)

@@ -322,30 +322,34 @@ def _shapley_regression_loss(raw: Tensor, masks: np.ndarray, targets: np.ndarray
 
 
 def _value_targets(logits_fn, xb, masks, m):
-    """v(x_s)-v(x_0) per (input, mask) row and v(x_1)-v(x_0) per input.
+    """v(x_s)-v(x_0) per (input, mask) row, and v(x_0) per input.
 
-    Each input's m masks are evaluated together with the all-zeros and
-    all-ones masks in one chunked pass of the value function ``logits_fn``.
+    Each input's m masks are evaluated together with the empty mask in one
+    chunked pass of the value function ``logits_fn``. The caller forms
+    v(x_1)-v(x_0) from the unmasked pass it already makes.
     """
     n_in, d = len(xb), masks.shape[1]
-    extremes = np.broadcast_to(
-        np.stack([np.zeros(d), np.ones(d)]), (n_in, 2, d))
-    stacked = np.concatenate([masks.reshape(n_in, m, d), extremes],
-                             axis=1).reshape(n_in * (m + 2), d)
-    rep = np.repeat(xb, m + 2, axis=0)
+    stacked = np.concatenate([masks.reshape(n_in, m, d), np.zeros((n_in, 1, d))],
+                             axis=1).reshape(n_in * (m + 1), d)
+    rep = np.repeat(xb, m + 1, axis=0)
     logits = _chunked_logits(logits_fn, rep, stacked, chunk=1024)
-    vals = _softmax_np(logits).reshape(n_in, m + 2, -1)
+    vals = _softmax_np(logits).reshape(n_in, m + 1, -1)
     v0 = vals[:, m, :]
-    v1 = vals[:, m + 1, :]
     targets = vals[:, :m, :] - v0[:, None, :]
-    return targets.reshape(n_in * m, -1), v1 - v0
+    return targets.reshape(n_in * m, -1), v0
 
 
-def _class_weights(logits_fn, xb, labels, num_classes, label_mode):
+def _surrogate_v1(surrogate, tokens, states):
+    """v(x_1): the surrogate's class probabilities on unmasked backbone states."""
+    return _softmax_np(
+        surrogate.surrogate_logits(tokens, None, backbone_states=states).numpy())
+
+
+def _class_weights(v1, labels, num_classes, label_mode):
     """Per-class loss weights: the one-hot label, or v(x_1) of the value function."""
     if label_mode == "label":
         return np.eye(num_classes, dtype=np.float64)[labels]
-    return _softmax_np(_chunked_logits(logits_fn, xb))
+    return v1
 
 
 def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
@@ -390,13 +394,18 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
     if bank:
         n_tr = len(x_train)
         bank_masks = sample_subsets(dist, n_tr * bank, True, rng)
-        bank_targets, bank_diffs = _value_targets(
+        bank_targets, bank_v0 = _value_targets(
             surrogate.surrogate_logits, x_train, bank_masks, bank)
         bank_masks = bank_masks.reshape(n_tr, bank, d)
         bank_targets = bank_targets.reshape(n_tr, bank, num_classes)
-        bank_weights = _class_weights(surrogate.surrogate_logits, x_train, y_train,
-                                      num_classes, config.label_mode)
         cached_states = [s.numpy() for s in classifier.block_states(x_train, None)]
+        # in chunks: each surrogate pass records a graph over the side branch
+        bank_v1 = np.concatenate([
+            _surrogate_v1(surrogate, x_train[i:i + 256],
+                          [Tensor(s[i:i + 256]) for s in cached_states])
+            for i in range(0, n_tr, 256)])
+        bank_diffs = bank_v1 - bank_v0
+        bank_weights = _class_weights(bank_v1, y_train, num_classes, config.label_mode)
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(x_train))
@@ -404,7 +413,6 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
             idx = order[start:start + config.inputs_per_batch]
             xb, yb = x_train[idx], y_train[idx]
             n_in = len(idx)
-            states = None
             if bank:
                 masks = bank_masks[idx].reshape(n_in * bank, d)
                 targets = bank_targets[idx].reshape(n_in * bank, -1)
@@ -414,9 +422,11 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
             else:
                 m = config.masks_per_input
                 masks = sample_subsets(dist, n_in * m, True, rng)
-                targets, diffs = _value_targets(surrogate.surrogate_logits, xb, masks, m)
-                weights = _class_weights(surrogate.surrogate_logits, xb, yb,
-                                         num_classes, config.label_mode)
+                states = classifier.block_states(xb, None)
+                v1 = _surrogate_v1(surrogate, xb, states)
+                targets, v0 = _value_targets(surrogate.surrogate_logits, xb, masks, m)
+                diffs = v1 - v0
+                weights = _class_weights(v1, yb, num_classes, config.label_mode)
             raw = explainer.explainer_raw(xb, backbone_states=states)
             loss = _shapley_regression_loss(raw, masks, targets, diffs, weights)
             if not np.isfinite(loss.item()):
@@ -444,10 +454,12 @@ def _explainer_eval_loss(explainer, surrogate, x_eval, y_eval, masks_3d,
                          num_classes, label_mode):
     n, m, d = masks_3d.shape
     masks = masks_3d.reshape(n * m, d)
-    targets, diffs = _value_targets(surrogate.surrogate_logits, x_eval, masks, m)
-    weights = _class_weights(surrogate.surrogate_logits, x_eval, y_eval,
-                             num_classes, label_mode)
-    raw = explainer.explainer_raw(x_eval)
+    states = surrogate.backbone.block_states(x_eval, None)
+    v1 = _surrogate_v1(surrogate, x_eval, states)
+    targets, v0 = _value_targets(surrogate.surrogate_logits, x_eval, masks, m)
+    diffs = v1 - v0
+    weights = _class_weights(v1, y_eval, num_classes, label_mode)
+    raw = explainer.explainer_raw(x_eval, backbone_states=states)
     return _shapley_regression_loss(raw, masks, targets, diffs, weights).item()
 
 
@@ -502,8 +514,10 @@ class HeadExplainerModel:
 def _head_explainer_loss(model: HeadExplainerModel, value_model: MaskedTransformer,
                          xb, yb, masks_per_input, masks, num_classes, label_mode):
     """Shapley regression loss with the frozen masked classifier as value function."""
-    targets, diffs = _value_targets(value_model.forward, xb, masks, masks_per_input)
-    weights = _class_weights(value_model.forward, xb, yb, num_classes, label_mode)
+    v1 = _softmax_np(value_model.forward(xb).numpy())
+    targets, v0 = _value_targets(value_model.forward, xb, masks, masks_per_input)
+    diffs = v1 - v0
+    weights = _class_weights(v1, yb, num_classes, label_mode)
     _, raw = model.forward_both(xb)
     return _shapley_regression_loss(raw, masks, targets, diffs, weights)
 

@@ -267,7 +267,9 @@ class MaskedTransformer:
 
         Without a mask, or with one that keeps every token, all d tokens are
         embedded. Otherwise only the kept tokens are, each with its own
-        position row, and every row must keep equally many.
+        position row, and every row must keep equally many. An embedded
+        token that is not finite is a ContractError; a removed one is never
+        read.
         """
         c = self.config
         if mask is None:
@@ -291,6 +293,8 @@ class MaskedTransformer:
                 index = np.concatenate([np.zeros((b, 1), dtype=np.intp), kept + 1], axis=1)
                 positions = ad.take(
                     ad.reshape(positions, (c.num_tokens + 1, c.hidden)), index)
+        if not np.isfinite(tokens).all():
+            raise ContractError("tokens are not finite")
         x = self.embed(Tensor(tokens))
         cls = ad.broadcast_to(self.class_token, (b, 1, c.hidden))
         x = ad.concat([cls, x], axis=1)

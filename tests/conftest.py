@@ -91,3 +91,23 @@ def mixed_masks(rng, n, d):
     keep = rng.random((n, d)) < rng.random((n, 1))
     keep[0], keep[1] = False, True
     return keep.astype(np.float32)
+
+
+def three_pass_explain(combined, tokens):
+    """``CombinedModel.explain`` in three backbone passes.
+
+    The reference for the single-pass explain: v(x_1) from an all-ones mask
+    and v(x_0) from an all-zeros mask, each a masked surrogate pass of its own.
+    """
+    from sideshap.shapley import efficiency_normalize_grid
+
+    tokens = np.asarray(tokens, dtype=np.float32)
+    states = combined.classifier.block_states(tokens, None)
+    logits = combined.classifier.logits_from_state(states[-1]).numpy()
+    raw = combined.explainer.explainer_raw(tokens, backbone_states=states).numpy()
+    ones = np.ones(tokens.shape[:2], dtype=np.float32)
+    v1 = combined.surrogate.surrogate_forward(tokens, ones)
+    v0 = combined.surrogate.surrogate_forward(tokens, np.zeros_like(ones))
+    normalized = efficiency_normalize_grid(raw, v1, v0)
+    residual = np.abs(normalized.sum(axis=1) - (v1 - v0)).max()
+    return logits, normalized, float(residual)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sideshap.autodiff as ad
-from sideshap.autodiff import ContractError, Optimizer, OptimizerConfig, Tensor
+from sideshap.autodiff import ContractError, DimensionError, Optimizer, OptimizerConfig, Tensor
 
 from scipy.special import erf
 
@@ -296,3 +296,39 @@ def test_float64_gelu_is_erf_gelu():
     y = ad.gelu(Tensor(x, dtype=np.float64)).data
     assert y.dtype == np.float64
     assert np.abs(y - x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_elementwise_ops_reject_shapes_that_do_not_broadcast(op):
+    a = Tensor(np.ones((2, 3)))
+    b = Tensor(np.full(4, 2.0))
+    with pytest.raises(DimensionError, match=rf"{op.__name__}: shapes \(2, 3\) and \(4,\)"):
+        op(a, b)
+
+
+def test_div_by_zero_is_contract_error():
+    with pytest.raises(ContractError, match="zero denominator"):
+        ad.div(Tensor(np.ones(3)), Tensor(np.array([1.0, 0.0, 2.0])))
+
+
+def test_no_grad_records_no_parents():
+    a = Tensor(np.linspace(-1, 1, 6).reshape(2, 3), requires_grad=True)
+    with ad.no_grad():
+        out = ad.gelu(ad.matmul(a, ad.transpose(a, (1, 0))) + a.data.sum())
+        assert out._parents == ()
+    tracked = ad.mean(ad.square(a))
+    tracked.backward()
+    assert tracked._parents and a.grad is not None
+
+
+def test_no_grad_restores_state_after_exception():
+    a = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ContractError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert (a * 2.0)._parents == ()  # the inner exit keeps the outer off
+            ad.log(a - 1.0)
+    loss = ad.mean(a * 3.0)
+    loss.backward()
+    np.testing.assert_allclose(a.grad, np.ones(3))

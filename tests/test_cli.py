@@ -209,7 +209,23 @@ def test_explain_non_finite_residual_exits_2(pipeline_artifacts, capsys, tmp_pat
     out = tmp_path / "exp.json"
     code, _, err = _explain(capsys, pipeline_artifacts, data, 5, out)
     assert code == EXIT_CHECK_FAILED
-    assert "residual nan" in err
+    assert "not finite" in err
+    assert not out.exists()
+
+
+def test_explain_rejects_branch_of_another_model(pipeline_artifacts, capsys, tmp_path):
+    from sideshap.checkpoint import load_checkpoint, save_checkpoint
+
+    # 4 heads instead of 2: every side parameter keeps its shape
+    ck = load_checkpoint(pipeline_artifacts["surrogate"])
+    config = dict(ck.config, model=dict(ck.config["model"], heads=4))
+    surrogate = str(tmp_path / "surrogate-4heads.ckpt")
+    save_checkpoint(surrogate, ck.role, config, ck.state)
+    out = tmp_path / "exp.json"
+    code, _, err = _explain(capsys, dict(pipeline_artifacts, surrogate=surrogate),
+                            pipeline_artifacts["data"], 3, out)
+    assert code == EXIT_CHECK_FAILED
+    assert "trained on model" in err
     assert not out.exists()
 
 

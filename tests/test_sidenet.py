@@ -16,7 +16,12 @@ from sideshap.sidenet import (
 )
 from sideshap.transformer import PRESETS, MaskedTransformer, ModelConfig, count_params
 
-from conftest import key_bias_surrogate_logits, mixed_masks, relative_error
+from conftest import (
+    key_bias_surrogate_logits,
+    mixed_masks,
+    relative_error,
+    three_pass_explain,
+)
 
 TOY = ModelConfig(depth=2, hidden=32, heads=4, num_tokens=8,
                   token_input_dim=5, num_classes=3)
@@ -160,6 +165,66 @@ def test_combined_explain_efficiency_residual():
     v1 = sur.surrogate_forward(x, np.ones((3, 8)))
     v0 = sur.surrogate_forward(x, np.zeros((3, 8)))
     np.testing.assert_allclose(phi.sum(axis=1), v1 - v0, atol=1e-5)
+
+
+def build_combined(seed):
+    backbone, sur = build_pair(seed=seed)
+    return CombinedModel(backbone, sur, make_explainer_from_surrogate(sur, seed=seed + 1))
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_explain_bit_equal_to_three_pass_reference(batch):
+    combined = build_combined(13)
+    x = np.random.default_rng(batch).standard_normal((batch, 8, 5)).astype(np.float32)
+    logits, phi, residual = combined.explain(x)
+    want_logits, want_phi, want_residual = three_pass_explain(combined, x)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert phi.tobytes() == want_phi.tobytes()
+    assert residual == want_residual
+
+
+def test_explain_runs_the_backbone_twice(monkeypatch):
+    combined = build_combined(15)
+    masks = []
+    block_states = MaskedTransformer.block_states
+
+    def counting(self, tokens, mask):
+        masks.append(mask)
+        return block_states(self, tokens, mask)
+
+    monkeypatch.setattr(MaskedTransformer, "block_states", counting)
+    combined.explain(np.random.default_rng(8).standard_normal((3, 8, 5)))
+    # one unmasked pass, then v(x_0) over the class token alone
+    assert len(masks) == 2
+    assert masks[0] is None and not np.any(masks[1])
+
+
+def test_explain_records_no_graph_and_training_still_does():
+    combined = build_combined(17)
+    x = np.random.default_rng(9).standard_normal((2, 8, 5)).astype(np.float32)
+    combined.explain(x)
+    combined.forward(x)
+    sur = combined.surrogate
+    loss = ad.mean(ad.square(sur.surrogate_logits(x, np.ones((2, 8)))))
+    loss.backward()
+    assert all(p.grad is not None for p in sur.side_parameters())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_kept_token_raises_through_branches(value):
+    combined = build_combined(19)
+    x = np.random.default_rng(10).standard_normal((2, 8, 5)).astype(np.float32)
+    x[0, 2, 1] = value
+    mask = np.ones((2, 8))
+    mask[:, 6] = 0
+    for call in (lambda: combined.surrogate.surrogate_logits(x, None),
+                 lambda: combined.surrogate.surrogate_logits(x, mask),
+                 lambda: combined.explain(x)):
+        with pytest.raises(ContractError, match="not finite"):
+            call()
+    mask[:, 2] = 0  # the bad token removed
+    mask[:, 6] = 1
+    assert np.all(np.isfinite(combined.surrogate.surrogate_forward(x, mask)))
 
 
 def test_trunk_copy_preserves_weights_replaces_head():

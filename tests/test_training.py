@@ -6,6 +6,7 @@ from scipy.special import softmax as sp_softmax
 
 from sideshap.autodiff import ContractError, OptimizerConfig
 from sideshap.data import generate_dataset
+from sideshap.shapley import sample_subsets, shapley_kernel
 from sideshap.sidenet import ROLE_SURROGATE, SideConfig
 from sideshap.training import (
     HeadExplainerModel,
@@ -19,6 +20,13 @@ from sideshap.training import (
     train_explainer,
     train_froyo,
     train_surrogate,
+)
+from sideshap.training import (
+    _chunked_logits,
+    _class_weights,
+    _softmax_np,
+    _surrogate_v1,
+    _value_targets,
 )
 from sideshap.transformer import MaskedTransformer, ModelConfig
 
@@ -160,6 +168,47 @@ def test_explainer_mask_bank_mode(trained_pair):
     assert state_digest(clf.state_dict()) == before
     assert np.isfinite(rec.final_loss)
     assert len(rec.val_losses) == 3
+
+
+def _stacked_value_targets(logits_fn, xb, yb, masks, m, num_classes, label_mode):
+    """The reference form: the all-zeros and all-ones masks stacked with each
+    input's m masks in one masked pass, and the weights from a pass of their own."""
+    n_in, d = len(xb), masks.shape[1]
+    extremes = np.broadcast_to(np.stack([np.zeros(d), np.ones(d)]), (n_in, 2, d))
+    stacked = np.concatenate([masks.reshape(n_in, m, d), extremes],
+                             axis=1).reshape(n_in * (m + 2), d)
+    logits = _chunked_logits(logits_fn, np.repeat(xb, m + 2, axis=0), stacked, chunk=1024)
+    vals = _softmax_np(logits).reshape(n_in, m + 2, -1)
+    v0, v1 = vals[:, m, :], vals[:, m + 1, :]
+    targets = (vals[:, :m, :] - v0[:, None, :]).reshape(n_in * m, -1)
+    if label_mode == "label":
+        weights = np.eye(num_classes, dtype=np.float64)[yb]
+    else:
+        weights = _softmax_np(_chunked_logits(logits_fn, xb))
+    return targets, v1 - v0, weights
+
+
+@pytest.mark.parametrize("label_mode", ["weighted", "label"])
+@pytest.mark.parametrize("value_function", ["surrogate", "classifier"])
+def test_value_targets_bit_equal_to_stacked_extremes(trained_pair, label_mode,
+                                                     value_function):
+    ds, clf, sur = trained_pair
+    x, y = ds.split("train")
+    xb, yb, m = x[:5], y[:5], 4
+    masks = sample_subsets(shapley_kernel(ds.d), len(xb) * m, True,
+                           np.random.default_rng(11))
+    if value_function == "surrogate":
+        logits_fn = sur.surrogate_logits
+        v1 = _surrogate_v1(sur, xb, clf.block_states(xb, None))
+    else:
+        logits_fn = clf.forward
+        v1 = _softmax_np(clf.forward(xb).numpy())
+    targets, v0 = _value_targets(logits_fn, xb, masks, m)
+    diffs = v1 - v0
+    weights = _class_weights(v1, yb, ds.num_classes, label_mode)
+    want = _stacked_value_targets(logits_fn, xb, yb, masks, m, ds.num_classes, label_mode)
+    for got, ref in zip((targets, diffs, weights), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_froyo_trains_only_explanation_head(trained_pair):

@@ -119,6 +119,25 @@ def test_block_states_rejects_uneven_kept_counts(toy_model):
     assert states[-1].shape == (1, 8, 32)  # class token + 7 kept
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_kept_token_raises(toy_model, value):
+    x = np.random.default_rng(3).standard_normal((2, 8, 5)).astype(np.float32)
+    x[1, 3, 0] = value
+    mask = np.ones((2, 8))
+    mask[:, 5] = 0  # token 3 stays kept
+    for m in (None, mask):
+        with pytest.raises(ContractError, match="not finite"):
+            toy_model.forward(x, m)
+
+
+def test_non_finite_removed_token_gives_finite_output(toy_model):
+    x = np.random.default_rng(4).standard_normal((2, 8, 5)).astype(np.float32)
+    x[1, 3, 0] = np.nan
+    mask = np.ones((2, 8))
+    mask[:, 3] = 0
+    assert np.all(np.isfinite(toy_model.forward(x, mask).numpy()))
+
+
 def test_mask_key_bias_layout():
     bias = mask_key_bias(np.array([[1, 0, 1]]), 3)
     assert bias.shape == (1, 1, 1, 4)
