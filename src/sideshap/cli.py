@@ -100,7 +100,16 @@ def effective_config(defaults: dict, args) -> dict:
     unknown = set(cfg) - set(defaults)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
+    return {key: _typed(key, value, defaults[key]) for key, value in cfg.items()}
+
+
+def _typed(key: str, value, default):
+    """``value`` if it has the type of ``key``'s default; an int passes as a float."""
+    if isinstance(default, float) and type(value) is int:
+        return float(value)
+    if type(value) is not type(default):
+        raise UsageError(f"{key} takes {type(default).__name__}, got {value!r}")
+    return value
 
 
 def out_path(args, default_name: str) -> str:
@@ -149,28 +158,28 @@ DATA_DEFAULTS = {
 
 def _model_config(cfg: dict, dataset: SyntheticDataset) -> ModelConfig:
     return ModelConfig(
-        depth=int(cfg["model.depth"]),
-        hidden=int(cfg["model.hidden"]),
-        heads=int(cfg["model.heads"]),
+        depth=cfg["model.depth"],
+        hidden=cfg["model.hidden"],
+        heads=cfg["model.heads"],
         num_tokens=dataset.d,
         token_input_dim=dataset.token_dim,
         num_classes=dataset.num_classes,
-        mlp_ratio=float(cfg["model.mlp_ratio"]),
+        mlp_ratio=cfg["model.mlp_ratio"],
     )
 
 
 def _stage_config(cfg: dict, stage: str) -> StageConfig:
     return StageConfig(
         stage=stage,
-        epochs=int(cfg["train.epochs"]),
-        batch_size=int(cfg["train.batch_size"]),
-        masks_per_input=int(cfg["train.masks_per_input"]),
-        inputs_per_batch=int(cfg["train.inputs_per_batch"]),
-        seed=int(cfg["train.seed"]),
-        mask_bank=int(cfg["train.mask_bank"]),
-        optimizer=OptimizerConfig(step_size=float(cfg["train.step_size"]),
-                                  scheme=str(cfg["train.scheme"])),
-        label_mode=str(cfg["train.label_mode"]),
+        epochs=cfg["train.epochs"],
+        batch_size=cfg["train.batch_size"],
+        masks_per_input=cfg["train.masks_per_input"],
+        inputs_per_batch=cfg["train.inputs_per_batch"],
+        seed=cfg["train.seed"],
+        mask_bank=cfg["train.mask_bank"],
+        optimizer=OptimizerConfig(step_size=cfg["train.step_size"],
+                                  scheme=cfg["train.scheme"]),
+        label_mode=cfg["train.label_mode"],
     )
 
 
@@ -214,15 +223,11 @@ def _write_losses(path, record):
 
 def cmd_gen_data(args):
     cfg = effective_config(DATA_DEFAULTS, args)
-    params = {
-        "d": int(cfg["data.d"]),
-        "token_dim": int(cfg["data.token_dim"]),
-        "n_samples": int(cfg["data.n_samples"]),
-        "num_classes": int(cfg["data.num_classes"]),
-    }
+    params = {key: cfg[f"data.{key}"]
+              for key in ("d", "token_dim", "n_samples", "num_classes")}
     if cfg["data.kind"] == "planted-patch":
         params.pop("num_classes")
-    ds = generate_dataset(str(cfg["data.kind"]), params, int(cfg["data.seed"]))
+    ds = generate_dataset(cfg["data.kind"], params, cfg["data.seed"])
     path = out_path(args, "dataset.npz")
     ds.save(path)
     write_effective_config(path, cfg)
@@ -252,7 +257,7 @@ def cmd_train_surrogate(args):
     cfg = effective_config({**TRAIN_DEFAULTS, **SIDE_DEFAULTS}, args)
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
-    side = SideConfig(reduction=int(cfg["side.reduction"]), role=ROLE_SURROGATE)
+    side = SideConfig(reduction=cfg["side.reduction"], role=ROLE_SURROGATE)
     model, record = train_surrogate(classifier, ds,
                                     _stage_config(cfg, "surrogate"), side)
     path = out_path(args, "surrogate.ckpt")

@@ -56,6 +56,8 @@ class StageConfig:
             raise ContractError("masks_per_input must be even (paired sampling)")
         if self.mask_bank < 0 or self.mask_bank % 2 != 0:
             raise ContractError("mask_bank must be a non-negative even number")
+        if self.label_mode not in ("weighted", "label"):
+            raise ContractError(f"label_mode must be 'weighted' or 'label', not {self.label_mode!r}")
 
 
 @dataclass
@@ -135,6 +137,64 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the epoch loop shared by the three stages
+
+
+def _fit(stage, config: StageConfig, rng, n_train, batch, params, step_loss,
+         val_loss, snapshot, restore) -> LossRecord:
+    """Train ``params`` by ``step_loss`` and keep the best-validation state.
+
+    Each epoch shuffles the ``n_train`` rows with ``rng``, steps once per
+    ``batch`` rows on ``step_loss(rows)`` and then takes ``val_loss()``. The
+    state from ``snapshot()`` at the lowest validation loss (first epoch on
+    a tie) is put back with ``restore`` at the end.
+    """
+    opt = Optimizer(params, config.optimizer)
+    record = LossRecord(initial_loss=val_loss())
+    best_val, best_state = np.inf, None
+    for epoch in range(config.epochs):
+        order = rng.permutation(n_train)
+        for start in range(0, n_train, batch):
+            loss = step_loss(order[start:start + batch])
+            if not np.isfinite(loss.item()):
+                raise FloatingPointError(f"{stage} diverged at epoch {epoch}")
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            record.step_losses.append(loss.item())
+        val = val_loss()
+        record.val_losses.append(val)
+        if val < best_val:
+            best_val, best_state = val, snapshot()
+            record.best_epoch = epoch
+        opt.scale_step(config.step_decay)
+    restore(best_state)
+    record.final_loss = best_val
+    return record
+
+
+def _check_frozen(model, before: str, stage: str):
+    if state_digest(model.state_dict()) != before:
+        raise RuntimeError(
+            f"invariant violation: backbone parameters changed during {stage} training")
+
+
+def _chunked_logits(logits_fn, tokens, masks=None, chunk=256):
+    """``logits_fn(tokens, masks)`` over row chunks, as one numpy array.
+
+    ``logits_fn`` is a value function such as ``MaskedTransformer.forward``
+    or ``SideTunedModel.surrogate_logits``; ``masks`` None means unmasked.
+    No autodiff graph is recorded.
+    """
+    outs = []
+    with ad.no_grad():
+        for start in range(0, len(tokens), chunk):
+            m = None if masks is None else masks[start:start + chunk]
+            outs.append(logits_fn(tokens[start:start + chunk], m).numpy())
+    return np.concatenate(outs, axis=0)
+
+
+# ---------------------------------------------------------------------------
 # stage 1: classifier
 
 
@@ -143,63 +203,31 @@ def train_classifier(dataset: SyntheticDataset, model_config: ModelConfig,
     """Train the masked transformer on unmasked inputs; keep the best-val checkpoint."""
     rng = np.random.default_rng(config.seed)
     model = MaskedTransformer(model_config, seed=config.seed)
-    opt = Optimizer(model.parameters(), config.optimizer)
-    record = LossRecord()
-
     x_train, y_train = dataset.split("train")
     x_val, y_val = dataset.split("val")
-    best_val = np.inf
-    best_state = None
 
-    record.initial_loss = _classifier_val_loss(model, x_val, y_val)
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(x_train))
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            logits = model.forward(x_train[idx])
-            loss = _mse_class_loss(logits, y_train[idx], model_config.num_classes)
-            if not np.isfinite(loss.item()):
-                raise FloatingPointError(f"classifier diverged at epoch {epoch}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            record.step_losses.append(loss.item())
-        val_loss = _classifier_val_loss(model, x_val, y_val)
-        record.val_losses.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            record.best_epoch = epoch
-            best_state = model.state_dict()
-        opt.scale_step(config.step_decay)
+    def step_loss(idx):
+        return _mse_class_loss(model.forward(x_train[idx]), y_train[idx],
+                               model_config.num_classes)
 
-    model.load_state(best_state)
-    record.final_loss = best_val
+    record = _fit("classifier", config, rng, len(x_train), config.batch_size,
+                  model.parameters(), step_loss,
+                  lambda: _classifier_val_loss(model, x_val, y_val),
+                  model.state_dict, model.load_state)
     record.extra["val_accuracy"] = accuracy(
         _chunked_logits(model.forward, x_val), y_val)
     return model, record
 
 
-def _chunked_logits(logits_fn, tokens, masks=None, chunk=256):
-    """``logits_fn(tokens, masks)`` over row chunks, as one numpy array.
-
-    ``logits_fn`` is a value function such as ``MaskedTransformer.forward``
-    or ``SideTunedModel.surrogate_logits``; ``masks`` None means unmasked.
-    """
-    outs = []
-    for start in range(0, len(tokens), chunk):
-        m = None if masks is None else masks[start:start + chunk]
-        outs.append(logits_fn(tokens[start:start + chunk], m).numpy())
-    return np.concatenate(outs, axis=0)
-
-
 def _classifier_val_loss(model, x_val, y_val, chunk=256):
     total, n = 0.0, 0
     c = model.config.num_classes
-    for start in range(0, len(x_val), chunk):
-        xb, yb = x_val[start:start + chunk], y_val[start:start + chunk]
-        loss = _mse_class_loss(model.forward(xb), yb, c)
-        total += loss.item() * len(xb)
-        n += len(xb)
+    with ad.no_grad():
+        for start in range(0, len(x_val), chunk):
+            xb, yb = x_val[start:start + chunk], y_val[start:start + chunk]
+            loss = _mse_class_loss(model.forward(xb), yb, c)
+            total += loss.item() * len(xb)
+            n += len(xb)
     return total / n
 
 
@@ -218,66 +246,34 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
         side = SideConfig(role=ROLE_SURROGATE)
     rng = np.random.default_rng(config.seed)
     model = SideTunedModel(classifier, side, seed=config.seed)
-    opt = Optimizer(model.side_parameters(), config.optimizer)
-    record = LossRecord()
-
     backbone_before = state_digest(classifier.state_dict())
     x_train, _ = dataset.split("train")
     x_val, _ = dataset.split("val")
-    d = dataset.d
+    d, m = dataset.d, config.masks_per_input
 
-    # fixed validation instances for deterministic checkpoint selection
+    # fixed validation (input, mask) pairs, and f(x) on them, for a
+    # deterministic checkpoint selection: mean KL(f(x) || g(x_s))
     val_rng = np.random.default_rng(config.seed + 1)
     n_val = min(64, len(x_val))
-    val_idx = val_rng.permutation(len(x_val))[:n_val]
-    val_masks = sample_equicardinality_masks(d, n_val * 4, val_rng).reshape(n_val, 4, d)
+    x_sel = x_val[val_rng.permutation(len(x_val))[:n_val]]
+    val_masks = sample_equicardinality_masks(d, n_val * 4, val_rng)
+    val_x = np.repeat(x_sel, 4, axis=0)
+    val_p = np.repeat(_chunked_logits(classifier.forward, x_sel), 4, axis=0)
 
-    record.initial_loss = _surrogate_val_kl(model, classifier, x_val[val_idx], val_masks)
-    best_val, best_state = np.inf, None
+    def step_loss(idx):
+        xb = x_train[idx]
+        masks = sample_equicardinality_masks(d, len(idx) * m, rng)
+        target = np.repeat(classifier.predict_proba(xb), m, axis=0)
+        return _kl_loss_graph(target, model.surrogate_logits(np.repeat(xb, m, axis=0), masks))
 
-    per_step = config.inputs_per_batch * config.masks_per_input
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(x_train))
-        for start in range(0, len(order), config.inputs_per_batch):
-            idx = order[start:start + config.inputs_per_batch]
-            xb = x_train[idx]
-            masks = sample_equicardinality_masks(d, len(idx) * config.masks_per_input, rng)
-            rep = np.repeat(xb, config.masks_per_input, axis=0)
-            target = classifier.predict_proba(xb)
-            target_rep = np.repeat(target, config.masks_per_input, axis=0)
-            q_logits = model.surrogate_logits(rep, masks)
-            loss = _kl_loss_graph(target_rep, q_logits)
-            if not np.isfinite(loss.item()):
-                raise FloatingPointError(f"surrogate diverged at epoch {epoch}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            record.step_losses.append(loss.item())
-        val_loss = _surrogate_val_kl(model, classifier, x_val[val_idx], val_masks)
-        record.val_losses.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            record.best_epoch = epoch
-            best_state = model.side_state_dict()
-        opt.scale_step(config.step_decay)
-
-    model.load_side_state(best_state)
-    record.final_loss = _surrogate_val_kl(model, classifier, x_val[val_idx], val_masks)
-
-    if state_digest(classifier.state_dict()) != backbone_before:
-        raise RuntimeError("invariant violation: backbone parameters changed during surrogate training")
+    record = _fit("surrogate", config, rng, len(x_train), config.inputs_per_batch,
+                  model.side_parameters(), step_loss,
+                  lambda: kl_divergence(val_p, _chunked_logits(
+                      model.surrogate_logits, val_x, val_masks)),
+                  model.side_state_dict, model.load_side_state)
+    _check_frozen(classifier, backbone_before, "surrogate")
     record.extra["backbone_digest"] = backbone_before
     return model, record
-
-
-def _surrogate_val_kl(model, classifier, x_val, val_masks):
-    """Mean KL(f(x) || g(x_s)) over fixed validation (input, mask) pairs."""
-    n, m, d = val_masks.shape
-    rep = np.repeat(x_val, m, axis=0)
-    masks = val_masks.reshape(n * m, d)
-    p_logits = np.repeat(_chunked_logits(classifier.forward, x_val), m, axis=0)
-    q_logits = _chunked_logits(model.surrogate_logits, rep, masks)
-    return kl_divergence(p_logits, q_logits)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +298,10 @@ def _shapley_regression_loss(raw: Tensor, masks: np.ndarray, targets: np.ndarray
                              diffs: np.ndarray, weights: np.ndarray) -> Tensor:
     """In-graph Shapley regression loss with additive efficient normalization.
 
-    raw: (n_in, d, C) unconstrained attributions; masks (n_in*m, d); targets
-    v(x_s)-v(x_0) per instance (n_in*m, C); diffs v(x_1)-v(x_0) per input
-    (n_in, C); weights per-class weights per input (n_in, C).
+    raw: (n_in, d, C) unconstrained attributions; masks (n_in, m, d); targets
+    v(x_s)-v(x_0) per instance (n_in, m, C); diffs v(x_1)-v(x_0) per input
+    (n_in, C); weights per-class weights per input (n_in, C). Masks and
+    targets may also come flat, as (n_in*m, d) and (n_in*m, C).
 
     The per-coalition prediction s^T phi(x) is a batched matmul of each
     input's mask block against its normalized attributions.
@@ -321,35 +318,48 @@ def _shapley_regression_loss(raw: Tensor, masks: np.ndarray, targets: np.ndarray
     return ad.mean(ad.tensor_sum(w * err, axis=-1))
 
 
-def _value_targets(logits_fn, xb, masks, m):
-    """v(x_s)-v(x_0) per (input, mask) row, and v(x_0) per input.
+def _regression_targets(logits_fn, v1, x, y, masks, m, label_mode):
+    """Targets v(x_s)-v(x_0) (n*m, C), diffs v(x_1)-v(x_0) (n, C) and class weights.
 
-    Each input's m masks are evaluated together with the empty mask in one
-    chunked pass of the value function ``logits_fn``. The caller forms
-    v(x_1)-v(x_0) from the unmasked pass it already makes.
+    ``v1`` is v(x_1) from the unmasked pass the caller already makes. Each
+    input's m masks are evaluated together with the empty mask in one
+    chunked pass of the value function ``logits_fn``. The weights are the
+    one-hot label (``label_mode == "label"``) or v(x_1).
     """
-    n_in, d = len(xb), masks.shape[1]
+    n_in, d = len(x), masks.shape[1]
     stacked = np.concatenate([masks.reshape(n_in, m, d), np.zeros((n_in, 1, d))],
                              axis=1).reshape(n_in * (m + 1), d)
-    rep = np.repeat(xb, m + 1, axis=0)
-    logits = _chunked_logits(logits_fn, rep, stacked, chunk=1024)
+    logits = _chunked_logits(logits_fn, np.repeat(x, m + 1, axis=0), stacked, chunk=1024)
     vals = _softmax_np(logits).reshape(n_in, m + 1, -1)
     v0 = vals[:, m, :]
-    targets = vals[:, :m, :] - v0[:, None, :]
-    return targets.reshape(n_in * m, -1), v0
+    targets = (vals[:, :m, :] - v0[:, None, :]).reshape(n_in * m, -1)
+    weights = np.eye(v1.shape[1], dtype=np.float64)[y] if label_mode == "label" else v1
+    return targets, v1 - v0, weights
 
 
-def _surrogate_v1(surrogate, tokens, states):
-    """v(x_1): the surrogate's class probabilities on unmasked backbone states."""
-    return _softmax_np(
-        surrogate.surrogate_logits(tokens, None, backbone_states=states).numpy())
+def _explainer_batch(surrogate: SideTunedModel, x, y, masks, m, label_mode):
+    """The frozen regression inputs for x under masks (n*m, d).
+
+    Returns the unmasked backbone states (numpy), masks (n, m, d), targets
+    (n, m, C), v(x_1)-v(x_0) (n, C) and the class weights (n, C). The
+    surrogate and the backbone are frozen, so no graph is recorded.
+    """
+    with ad.no_grad():
+        states = surrogate.backbone.block_states(x, None)
+        v1 = _softmax_np(
+            surrogate.surrogate_logits(x, None, backbone_states=states).numpy())
+    targets, diffs, weights = _regression_targets(
+        surrogate.surrogate_logits, v1, x, y, masks, m, label_mode)
+    return ([s.numpy() for s in states], masks.reshape(len(x), m, -1),
+            targets.reshape(len(x), m, -1), diffs, weights)
 
 
-def _class_weights(v1, labels, num_classes, label_mode):
-    """Per-class loss weights: the one-hot label, or v(x_1) of the value function."""
-    if label_mode == "label":
-        return np.eye(num_classes, dtype=np.float64)[labels]
-    return v1
+def _explainer_loss(explainer: SideTunedModel, x, batch, rows) -> Tensor:
+    """Shapley regression loss of the explainer on ``rows`` of an ``_explainer_batch``."""
+    states, masks, targets, diffs, weights = batch
+    raw = explainer.explainer_raw(x[rows], backbone_states=[Tensor(s[rows]) for s in states])
+    return _shapley_regression_loss(raw, masks[rows], targets[rows], diffs[rows],
+                                    weights[rows])
 
 
 def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
@@ -362,105 +372,43 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
     """
     rng = np.random.default_rng(config.seed)
     explainer = make_explainer_from_surrogate(surrogate, seed=config.seed)
-    classifier = surrogate.backbone
-    backbone_before = state_digest(classifier.state_dict())
-    opt = Optimizer(explainer.side_parameters(), config.optimizer)
-    record = LossRecord()
-
+    backbone_before = state_digest(surrogate.backbone.state_dict())
     x_train, y_train = dataset.split("train")
     x_val, y_val = dataset.split("val")
-    d = dataset.d
-    num_classes = dataset.num_classes
-    dist = shapley_kernel(d)
+    m, mode = config.masks_per_input, config.label_mode
+    dist = shapley_kernel(dataset.d)
 
+    # The surrogate and the backbone are frozen, so the validation inputs
+    # are built once, and so is every training input under a mask bank.
     val_rng = np.random.default_rng(config.seed + 2)
     n_val = min(32, len(x_val))
     val_idx = val_rng.permutation(len(x_val))[:n_val]
-    val_masks = sample_subsets(dist, n_val * config.masks_per_input, True, val_rng)
+    val_masks = sample_subsets(dist, n_val * m, True, val_rng)
+    x_sel = x_val[val_idx]
+    val_batch = _explainer_batch(surrogate, x_sel, y_val[val_idx], val_masks, m, mode)
 
-    def val_loss_fn():
-        return _explainer_eval_loss(
-            explainer, surrogate, x_val[val_idx], y_val[val_idx],
-            val_masks.reshape(n_val, config.masks_per_input, d),
-            num_classes, config.label_mode)
+    def val_loss():
+        with ad.no_grad():
+            return _explainer_loss(explainer, x_sel, val_batch, slice(None)).item()
 
-    record.initial_loss = val_loss_fn()
-    best_val, best_state = np.inf, None
-
-    # Optional precomputation: the surrogate and backbone are both frozen, so
-    # with a fixed per-input mask bank every regression target — and the
-    # backbone states feeding the explainer branch — can be computed once.
     bank = config.mask_bank
     if bank:
-        n_tr = len(x_train)
-        bank_masks = sample_subsets(dist, n_tr * bank, True, rng)
-        bank_targets, bank_v0 = _value_targets(
-            surrogate.surrogate_logits, x_train, bank_masks, bank)
-        bank_masks = bank_masks.reshape(n_tr, bank, d)
-        bank_targets = bank_targets.reshape(n_tr, bank, num_classes)
-        cached_states = [s.numpy() for s in classifier.block_states(x_train, None)]
-        # in chunks: each surrogate pass records a graph over the side branch
-        bank_v1 = np.concatenate([
-            _surrogate_v1(surrogate, x_train[i:i + 256],
-                          [Tensor(s[i:i + 256]) for s in cached_states])
-            for i in range(0, n_tr, 256)])
-        bank_diffs = bank_v1 - bank_v0
-        bank_weights = _class_weights(bank_v1, y_train, num_classes, config.label_mode)
+        bank_masks = sample_subsets(dist, len(x_train) * bank, True, rng)
+        bank_batch = _explainer_batch(surrogate, x_train, y_train, bank_masks, bank, mode)
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(x_train))
-        for start in range(0, len(order), config.inputs_per_batch):
-            idx = order[start:start + config.inputs_per_batch]
-            xb, yb = x_train[idx], y_train[idx]
-            n_in = len(idx)
-            if bank:
-                masks = bank_masks[idx].reshape(n_in * bank, d)
-                targets = bank_targets[idx].reshape(n_in * bank, -1)
-                diffs = bank_diffs[idx]
-                weights = bank_weights[idx]
-                states = [Tensor(s[idx]) for s in cached_states]
-            else:
-                m = config.masks_per_input
-                masks = sample_subsets(dist, n_in * m, True, rng)
-                states = classifier.block_states(xb, None)
-                v1 = _surrogate_v1(surrogate, xb, states)
-                targets, v0 = _value_targets(surrogate.surrogate_logits, xb, masks, m)
-                diffs = v1 - v0
-                weights = _class_weights(v1, yb, num_classes, config.label_mode)
-            raw = explainer.explainer_raw(xb, backbone_states=states)
-            loss = _shapley_regression_loss(raw, masks, targets, diffs, weights)
-            if not np.isfinite(loss.item()):
-                raise FloatingPointError(f"explainer diverged at epoch {epoch}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            record.step_losses.append(loss.item())
-        val_loss = val_loss_fn()
-        record.val_losses.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            record.best_epoch = epoch
-            best_state = explainer.side_state_dict()
-        opt.scale_step(config.step_decay)
+    def step_loss(idx):
+        if bank:
+            return _explainer_loss(explainer, x_train, bank_batch, idx)
+        masks = sample_subsets(dist, len(idx) * m, True, rng)
+        xb = x_train[idx]
+        batch = _explainer_batch(surrogate, xb, y_train[idx], masks, m, mode)
+        return _explainer_loss(explainer, xb, batch, slice(None))
 
-    explainer.load_side_state(best_state)
-    record.final_loss = val_loss_fn()
-    if state_digest(classifier.state_dict()) != backbone_before:
-        raise RuntimeError("invariant violation: backbone parameters changed during explainer training")
+    record = _fit("explainer", config, rng, len(x_train), config.inputs_per_batch,
+                  explainer.side_parameters(), step_loss, val_loss,
+                  explainer.side_state_dict, explainer.load_side_state)
+    _check_frozen(surrogate.backbone, backbone_before, "explainer")
     return explainer, record
-
-
-def _explainer_eval_loss(explainer, surrogate, x_eval, y_eval, masks_3d,
-                         num_classes, label_mode):
-    n, m, d = masks_3d.shape
-    masks = masks_3d.reshape(n * m, d)
-    states = surrogate.backbone.block_states(x_eval, None)
-    v1 = _surrogate_v1(surrogate, x_eval, states)
-    targets, v0 = _value_targets(surrogate.surrogate_logits, x_eval, masks, m)
-    diffs = v1 - v0
-    weights = _class_weights(v1, y_eval, num_classes, label_mode)
-    raw = explainer.explainer_raw(x_eval, backbone_states=states)
-    return _shapley_regression_loss(raw, masks, targets, diffs, weights).item()
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +460,12 @@ class HeadExplainerModel:
 
 
 def _head_explainer_loss(model: HeadExplainerModel, value_model: MaskedTransformer,
-                         xb, yb, masks_per_input, masks, num_classes, label_mode):
+                         xb, yb, masks_per_input, masks, label_mode):
     """Shapley regression loss with the frozen masked classifier as value function."""
-    v1 = _softmax_np(value_model.forward(xb).numpy())
-    targets, v0 = _value_targets(value_model.forward, xb, masks, masks_per_input)
-    diffs = v1 - v0
-    weights = _class_weights(v1, yb, num_classes, label_mode)
+    with ad.no_grad():
+        v1 = _softmax_np(value_model.forward(xb).numpy())
+    targets, diffs, weights = _regression_targets(
+        value_model.forward, v1, xb, yb, masks, masks_per_input, label_mode)
     _, raw = model.forward_both(xb)
     return _shapley_regression_loss(raw, masks, targets, diffs, weights)
 
@@ -531,8 +479,7 @@ def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     frozen_before = state_digest(model.net.state_dict())
 
     rng = np.random.default_rng(config.seed)
-    trainable = list(model.expl_head_parameters().values())
-    opt = Optimizer(trainable, config.optimizer)
+    opt = Optimizer(list(model.expl_head_parameters().values()), config.optimizer)
     record = LossRecord()
     dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")
@@ -543,19 +490,26 @@ def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
             idx = order[start:start + config.inputs_per_batch]
             masks = sample_subsets(dist, len(idx) * config.masks_per_input, True, rng)
             loss = _head_explainer_loss(model, classifier, x_train[idx], y_train[idx],
-                                        config.masks_per_input, masks,
-                                        dataset.num_classes, config.label_mode)
+                                        config.masks_per_input, masks, config.label_mode)
             opt.zero_grad()
             loss.backward()
             opt.step()
             record.step_losses.append(loss.item())
         record.val_losses.append(record.step_losses[-1])
 
-    if state_digest(model.net.state_dict()) != frozen_before:
-        raise RuntimeError("invariant violation: frozen parameters changed in froyo training")
+    _check_frozen(model.net, frozen_before, "froyo")
     record.best_epoch = int(np.argmin(record.val_losses))
     record.final_loss = record.step_losses[-1]
     return model, record
+
+
+def _gradients(loss: Tensor, params) -> dict:
+    """d loss / d p for every parameter, by id; zeros where the loss does not reach p."""
+    for p in params:
+        p.grad = None
+    loss.backward()
+    return {id(p): p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+            for p in params}
 
 
 def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
@@ -590,42 +544,20 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
 
             logits, _ = model.forward_both(xb)
             cls_loss = _mse_class_loss(logits, yb, dataset.num_classes)
-            for p in all_params:
-                p.grad = None
-            cls_loss.backward()
-            g_cls = {id(p): (p.grad.copy() if p.grad is not None else None)
-                     for p in all_params}
+            g_cls = _gradients(cls_loss, all_params)
 
             masks = sample_subsets(dist, len(idx) * config.masks_per_input, True, rng)
             expl_loss = _head_explainer_loss(model, value_model, xb, yb,
-                                             config.masks_per_input, masks,
-                                             dataset.num_classes, config.label_mode)
-            for p in all_params:
-                p.grad = None
-            expl_loss.backward()
-            g_expl = {id(p): (p.grad.copy() if p.grad is not None else None)
-                      for p in all_params}
+                                             config.masks_per_input, masks, config.label_mode)
+            g_expl = _gradients(expl_loss, all_params)
 
-            g1 = np.concatenate([
-                (g_cls[id(p)] if g_cls[id(p)] is not None else np.zeros_like(p.data)).ravel()
-                for p in encoder_params])
-            g2 = np.concatenate([
-                (g_expl[id(p)] if g_expl[id(p)] is not None else np.zeros_like(p.data)).ravel()
-                for p in encoder_params])
+            g1 = np.concatenate([g_cls[id(p)].ravel() for p in encoder_params])
+            g2 = np.concatenate([g_expl[id(p)].ravel() for p in encoder_params])
             if np.linalg.norm(g1) > 0 and np.linalg.norm(g2) > 0:
                 conflict_trace.append(gradient_conflict(g1, g2))
 
             for p in all_params:
-                a = g_cls[id(p)]
-                b = g_expl[id(p)]
-                if a is None and b is None:
-                    p.grad = np.zeros_like(p.data)
-                elif a is None:
-                    p.grad = b
-                elif b is None:
-                    p.grad = a
-                else:
-                    p.grad = a + b
+                p.grad = g_cls[id(p)] + g_expl[id(p)]
             opt.step()
             record.step_losses.append(cls_loss.item() + expl_loss.item())
         record.val_losses.append(record.step_losses[-1])

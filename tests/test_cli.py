@@ -285,6 +285,44 @@ def test_explainer_head_depth_is_not_a_config_key(pipeline_artifacts, capsys, tm
     assert "unknown" in err
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("train-classifier", "train.epochs=abc"),
+    ("train-classifier", "train.epochs=1.7"),
+    ("train-classifier", "train.epochs=true"),
+    ("gen-data", "data.n_samples=abc"),
+])
+def test_config_value_of_wrong_type_exits_1(pipeline_artifacts, capsys, tmp_path,
+                                            command, setting):
+    out = tmp_path / "out"
+    extra = (TINY if command == "gen-data"
+             else ["--data", pipeline_artifacts["data"], *FAST_MODEL])
+    code, _, err = run(capsys, command, *extra, "--out", str(out), "--set", setting)
+    assert code == EXIT_USAGE
+    assert "usage error" in err
+    assert setting.split("=")[0] in err
+    assert not out.exists()
+
+
+def test_float_config_key_takes_an_int():
+    class Args:
+        config = None
+        set = ["train.step_size=1"]
+
+    out = effective_config({"train.step_size": 1e-3}, Args())
+    assert out == {"train.step_size": 1.0}
+    assert isinstance(out["train.step_size"], float)
+
+
+def test_unknown_label_mode_exits_2(pipeline_artifacts, capsys, tmp_path):
+    out = tmp_path / "c.ckpt"
+    code, _, err = run(capsys, "train-classifier", "--data", pipeline_artifacts["data"],
+                       "--out", str(out), *FAST_MODEL, *FAST_TRAIN,
+                       "--set", "train.label_mode=lable")
+    assert code == EXIT_CHECK_FAILED
+    assert "label_mode" in err
+    assert not out.exists()
+
+
 def test_role_mismatch_exits_3(pipeline_artifacts, capsys, tmp_path):
     # handing the surrogate checkpoint where a classifier is expected
     code, _, err = run(capsys, "train-surrogate",

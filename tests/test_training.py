@@ -23,10 +23,8 @@ from sideshap.training import (
 )
 from sideshap.training import (
     _chunked_logits,
-    _class_weights,
+    _regression_targets,
     _softmax_np,
-    _surrogate_v1,
-    _value_targets,
 )
 from sideshap.transformer import MaskedTransformer, ModelConfig
 
@@ -92,6 +90,8 @@ def test_stage_config_validation():
         quick_stage("explainer", masks_per_input=5)
     with pytest.raises(ContractError):
         quick_stage("explainer", mask_bank=7)  # must be even
+    with pytest.raises(ContractError, match="label_mode"):
+        quick_stage("explainer", label_mode="lable")
 
 
 def test_loss_record_csv(tmp_path):
@@ -116,13 +116,32 @@ def test_state_digest_order_independent():
 # stage behavior
 
 
-def test_classifier_best_checkpoint_rule():
-    ds = tiny_dataset(seed=1)
-    clf, rec = train_classifier(ds, TINY_MODEL, quick_stage("classifier", epochs=3))
-    assert rec.best_epoch == int(np.argmin(rec.val_losses))
-    assert rec.final_loss == pytest.approx(min(rec.val_losses))
-    assert 0.0 <= rec.extra["val_accuracy"] <= 1.0
+def _train_stage(stage, trained_pair, epochs):
+    ds, clf, sur = trained_pair
+    config = quick_stage(stage, epochs=epochs, optimizer=OptimizerConfig(step_size=3e-2))
+    if stage == "classifier":
+        model, rec = train_classifier(tiny_dataset(seed=1), TINY_MODEL, config)
+        return model.state_dict(), rec
+    if stage == "surrogate":
+        model, rec = train_surrogate(clf, ds, config,
+                                     SideConfig(reduction=2, role=ROLE_SURROGATE))
+    else:
+        model, rec = train_explainer(sur, ds, config)
+    return model.side_state_dict(), rec
+
+
+@pytest.mark.parametrize("stage", ["classifier", "surrogate", "explainer"])
+def test_best_checkpoint_rule(trained_pair, stage):
+    """Every stage ends in the state of its lowest validation loss."""
+    state, rec = _train_stage(stage, trained_pair, epochs=3)
     assert len(rec.val_losses) == 3
+    assert rec.best_epoch == int(np.argmin(rec.val_losses))
+    assert rec.final_loss == min(rec.val_losses)
+    # a run stopped after the best epoch ends in the same state
+    shorter, _ = _train_stage(stage, trained_pair, epochs=rec.best_epoch + 1)
+    assert state_digest(shorter) == state_digest(state)
+    if stage == "classifier":
+        assert 0.0 <= rec.extra["val_accuracy"] <= 1.0
 
 
 def test_classifier_training_is_deterministic():
@@ -170,6 +189,42 @@ def test_explainer_mask_bank_mode(trained_pair):
     assert len(rec.val_losses) == 3
 
 
+def test_chunked_logits_records_no_graph(trained_pair):
+    ds, _, sur = trained_pair
+    x = ds.split("train")[0][:10]
+    masks = np.ones((10, ds.d))
+    masks[::2, 0] = 0
+    assert sur.surrogate_logits(x, masks)._parents  # a graph outside
+    returned = []
+
+    def logits_fn(tokens, mask):
+        returned.append(sur.surrogate_logits(tokens, mask))
+        return returned[-1]
+
+    _chunked_logits(logits_fn, x, masks, chunk=4)
+    assert len(returned) == 3
+    assert not any(t._parents for t in returned)
+
+
+def test_explainer_builds_frozen_inputs_once(trained_pair, monkeypatch):
+    """With a mask bank, no surrogate pass runs inside the epoch loop."""
+    ds, _, sur = trained_pair
+    calls = []
+    surrogate_logits = sur.surrogate_logits
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return surrogate_logits(*args, **kwargs)
+
+    monkeypatch.setattr(sur, "surrogate_logits", counted)
+    counts = []
+    for epochs in (1, 3):
+        calls.clear()
+        train_explainer(sur, ds, quick_stage("explainer", epochs=epochs, mask_bank=4))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def _stacked_value_targets(logits_fn, xb, yb, masks, m, num_classes, label_mode):
     """The reference form: the all-zeros and all-ones masks stacked with each
     input's m masks in one masked pass, and the weights from a pass of their own."""
@@ -199,13 +254,13 @@ def test_value_targets_bit_equal_to_stacked_extremes(trained_pair, label_mode,
                            np.random.default_rng(11))
     if value_function == "surrogate":
         logits_fn = sur.surrogate_logits
-        v1 = _surrogate_v1(sur, xb, clf.block_states(xb, None))
+        v1 = _softmax_np(sur.surrogate_logits(
+            xb, None, backbone_states=clf.block_states(xb, None)).numpy())
     else:
         logits_fn = clf.forward
         v1 = _softmax_np(clf.forward(xb).numpy())
-    targets, v0 = _value_targets(logits_fn, xb, masks, m)
-    diffs = v1 - v0
-    weights = _class_weights(v1, yb, ds.num_classes, label_mode)
+    targets, diffs, weights = _regression_targets(logits_fn, v1, xb, yb, masks, m,
+                                                  label_mode)
     want = _stacked_value_targets(logits_fn, xb, yb, masks, m, ds.num_classes, label_mode)
     for got, ref in zip((targets, diffs, weights), want):
         assert got.tobytes() == ref.tobytes()
