@@ -8,7 +8,6 @@ from .evaluation import (
     EfficiencyReport,
     attribution_error_bound,
     cka,
-    class_token_features,
     efficiency_report,
     gradient_conflict,
     insertion_deletion,
@@ -53,9 +52,9 @@ __all__ = [
     "LossRecord", "MaskedTransformer", "ModelConfig", "Optimizer",
     "OptimizerConfig", "PRESETS", "ROLE_EXPLAINER", "ROLE_SURROGATE",
     "SideConfig", "SideTunedModel", "StageConfig", "SyntheticDataset",
-    "Tensor", "attribution_error_bound", "cka", "class_token_features",
-    "count_params", "count_side_params", "efficiency_normalize",
-    "efficiency_report", "exact_shapley", "generate_dataset",
+    "Tensor", "attribution_error_bound", "cka", "count_params",
+    "count_side_params", "efficiency_normalize", "efficiency_report",
+    "exact_shapley", "generate_dataset",
     "gradient_conflict", "insertion_deletion", "kernelshap", "kl_divergence",
     "load_checkpoint", "make_explainer_from_surrogate",
     "sample_equicardinality_masks", "sample_subsets", "save_checkpoint",

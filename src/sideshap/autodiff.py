@@ -507,8 +507,8 @@ class OptimizerConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ContractError("step_size must be positive")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ContractError(f"step_size must be finite and positive, not {self.step_size}")
         if self.scheme in ("plain-gd", "sgd"):
             self.scheme = "gd"
         if self.scheme in ("adam-style",):

@@ -4,8 +4,8 @@ Configuration is flat dotted keys (``model.depth = 2``). Precedence is
 defaults < config file (``--config``) < explicit ``--set key=value`` flags.
 The effective configuration is written next to every produced artifact.
 
-Exit codes: 0 success, 1 usage error, 2 invariant/bound check failure,
-3 I/O failure.
+Exit codes: 0 success, 1 usage error, 2 invariant/bound check failure
+(an out-of-range value or a diverged training run included), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _int_in(low: int, high: float = float("inf")):
+    """argparse type: an int in [low, high]."""
+    def integer(text):
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} outside [{low}, {high}]")
+        return value
+    return integer
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +178,8 @@ def _model_config(cfg: dict, dataset: SyntheticDataset) -> ModelConfig:
     )
 
 
-def _stage_config(cfg: dict, stage: str) -> StageConfig:
+def _stage_config(cfg: dict) -> StageConfig:
     return StageConfig(
-        stage=stage,
         epochs=cfg["train.epochs"],
         batch_size=cfg["train.batch_size"],
         masks_per_input=cfg["train.masks_per_input"],
@@ -202,19 +211,24 @@ def _load_branch(path, classifier, role) -> SideTunedModel:
     return branch
 
 
-def _save_branch(path, branch: SideTunedModel, role, cfg):
-    save_checkpoint(path, role, {
-        "model": branch.backbone.config.to_dict(),
-        "side": branch.side_config.to_dict(),
-        "cli": cfg,
-    }, branch.side_state_dict())
+def _save_trained(path, role, state, record, cfg, **blocks):
+    """The checkpoint (config ``blocks`` plus ``cli``) and its config, losses and record."""
+    save_checkpoint(path, role, {**blocks, "cli": cfg}, state)
     write_effective_config(path, cfg)
-
-
-def _write_losses(path, record):
     record.write_csv(path + ".losses.csv")
     with open(path + ".record.json", "w", encoding="utf-8") as f:
         json.dump(record.to_dict(), f, indent=2)
+
+
+def _save_branch(path, branch: SideTunedModel, record, cfg):
+    _save_trained(path, branch.side_config.role, branch.side_state_dict(), record, cfg,
+                  model=branch.backbone.config.to_dict(), side=branch.side_config.to_dict())
+
+
+def _check_residual(residual: float):
+    """ContractError unless the efficiency residual is below 1e-5 (NaN included)."""
+    if not residual < 1e-5:
+        raise ContractError(f"efficiency residual {residual:.3e} is not finite or exceeds 1e-5")
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +253,10 @@ def cmd_gen_data(args):
 def cmd_train_classifier(args):
     cfg = effective_config({**MODEL_DEFAULTS, **TRAIN_DEFAULTS}, args)
     ds = SyntheticDataset.load(args.data)
-    model, record = train_classifier(ds, _model_config(cfg, ds),
-                                     _stage_config(cfg, "classifier"))
+    model, record = train_classifier(ds, _model_config(cfg, ds), _stage_config(cfg))
     path = out_path(args, "classifier.ckpt")
-    save_checkpoint(path, "classifier",
-                    {"model": model.config.to_dict(), "cli": cfg},
-                    model.state_dict())
-    write_effective_config(path, cfg)
-    _write_losses(path, record)
+    _save_trained(path, "classifier", model.state_dict(), record, cfg,
+                  model=model.config.to_dict())
     print(json.dumps({"path": path, "val_accuracy": record.extra["val_accuracy"],
                       "best_epoch": record.best_epoch,
                       "final_loss": record.final_loss}))
@@ -258,11 +268,9 @@ def cmd_train_surrogate(args):
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
     side = SideConfig(reduction=cfg["side.reduction"], role=ROLE_SURROGATE)
-    model, record = train_surrogate(classifier, ds,
-                                    _stage_config(cfg, "surrogate"), side)
+    model, record = train_surrogate(classifier, ds, _stage_config(cfg), side)
     path = out_path(args, "surrogate.ckpt")
-    _save_branch(path, model, ROLE_SURROGATE, cfg)
-    _write_losses(path, record)
+    _save_branch(path, model, record, cfg)
     print(json.dumps({"path": path, "initial_kl": record.initial_loss,
                       "final_kl": record.final_loss,
                       "kl_ratio": record.final_loss / record.initial_loss}))
@@ -274,11 +282,9 @@ def cmd_train_explainer(args):
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
     surrogate = _load_branch(args.surrogate, classifier, ROLE_SURROGATE)
-    model, record = train_explainer(surrogate, ds,
-                                    _stage_config(cfg, "explainer"))
+    model, record = train_explainer(surrogate, ds, _stage_config(cfg))
     path = out_path(args, "explainer.ckpt")
-    _save_branch(path, model, ROLE_EXPLAINER, cfg)
-    _write_losses(path, record)
+    _save_branch(path, model, record, cfg)
     print(json.dumps({"path": path, "initial_loss": record.initial_loss,
                       "final_loss": record.final_loss}))
     return EXIT_OK
@@ -296,15 +302,11 @@ def _run_head_pipeline(args, pipeline):
     cfg = effective_config(TRAIN_DEFAULTS, args)
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
-    stage = _stage_config(cfg, pipeline)
     trainer = train_froyo if pipeline == "froyo" else train_duo
-    model, record = trainer(classifier, ds, stage)
+    model, record = trainer(classifier, ds, _stage_config(cfg))
     path = out_path(args, f"{pipeline}.ckpt")
-    save_checkpoint(path, pipeline,
-                    {"model": model.config.to_dict(), "cli": cfg},
-                    model.state_dict())
-    write_effective_config(path, cfg)
-    _write_losses(path, record)
+    _save_trained(path, pipeline, model.state_dict(), record, cfg,
+                  model=model.config.to_dict())
     summary = {"path": path, "final_loss": record.final_loss}
     if pipeline == "duo":
         trace = record.extra["gradient_conflict_trace"]
@@ -327,10 +329,7 @@ def cmd_explain(args):
         raise UsageError(f"--index {args.index} outside [0, {len(ds.tokens)})")
     tokens = ds.tokens[args.index][None]
     logits, phi, residual = combined.explain(tokens)
-    if not residual < 1e-5:  # also rejects a NaN residual
-        print(f"efficiency residual {residual:.3e} is not finite or exceeds 1e-5",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    _check_residual(residual)
     result = {
         "index": args.index,
         "logits": logits[0].tolist(),
@@ -363,17 +362,13 @@ def cmd_evaluate(args):
         dele.append(curve.deletion_auc)
         residuals.append(residual)
     residual = float(np.max(residuals))  # NaN if any residual is NaN
-    if not residual < 1e-5:
-        print(f"efficiency residual {residual:.3e} is not finite or exceeds 1e-5",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    _check_residual(residual)
     result = {"samples": int(len(idx)),
               "insertion_auc": float(np.mean(ins)),
               "deletion_auc": float(np.mean(dele)),
               "efficiency_residual": residual}
     if not (np.isfinite(result["insertion_auc"]) and np.isfinite(result["deletion_auc"])):
-        print(f"non-finite AUC: {json.dumps(result)}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        raise ContractError(f"non-finite AUC: {json.dumps(result)}")
     path = out_path(args, "evaluation.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2)
@@ -381,31 +376,21 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def cmd_count_params(args):
-    config = PRESETS[args.preset]
-    report = efficiency_report(config, reduction=args.reduction)
-    print(json.dumps({
-        "preset": args.preset,
-        "classifier_params": report.classifier_params,
-        "surrogate_params": report.surrogate_params,
-        "explainer_params": report.explainer_params,
-        "trainable_reduction": report.trainable_reduction,
-    }, indent=2))
+def _print_report(args, fields):
+    report = efficiency_report(PRESETS[args.preset], reduction=args.reduction)
+    print(json.dumps({"preset": args.preset, **{k: getattr(report, k) for k in fields}},
+                     indent=2))
     return EXIT_OK
+
+
+def cmd_count_params(args):
+    return _print_report(args, ("classifier_params", "surrogate_params",
+                                "explainer_params", "trainable_reduction"))
 
 
 def cmd_count_flops(args):
-    config = PRESETS[args.preset]
-    report = efficiency_report(config, reduction=args.reduction)
-    print(json.dumps({
-        "preset": args.preset,
-        "classifier_flops": report.classifier_flops,
-        "combined_flops": report.combined_flops,
-        "separate_flops": report.separate_flops,
-        "flops_reduction": report.flops_reduction,
-        "memory_bytes": report.memory_bytes,
-    }, indent=2))
-    return EXIT_OK
+    return _print_report(args, ("classifier_flops", "combined_flops", "separate_flops",
+                                "flops_reduction", "memory_bytes"))
 
 
 def cmd_check_bounds(args):
@@ -437,14 +422,13 @@ def build_parser() -> _Parser:
                      description="self-interpreting masked transformer toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, out=True):
+    def common(p, data=False):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a single config key")
         if data:
             p.add_argument("--data", required=True, help="dataset .npz path")
-        if out:
-            p.add_argument("--out", help=f"output path (default under ${OUTDIR_ENV})")
+        p.add_argument("--out", help=f"output path (default under ${OUTDIR_ENV})")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     common(p)
@@ -489,7 +473,7 @@ def build_parser() -> _Parser:
     p.add_argument("--surrogate", required=True)
     p.add_argument("--explainer", required=True)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("count-params", help="analytic parameter accounting")
@@ -503,11 +487,11 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_count_flops)
 
     p = sub.add_parser("check-bounds", help="geometric loss-decay bound check")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.set_defaults(fn=cmd_check_bounds)
 
     p = sub.add_parser("check-lemma", help="kernel second-moment eigenvalue check")
-    p.add_argument("--d-max", type=int, default=16)
+    p.add_argument("--d-max", type=_int_in(2, 16), default=16)
     p.set_defaults(fn=cmd_check_lemma)
 
     return parser
@@ -523,6 +507,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ContractError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except FloatingPointError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (CheckpointError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

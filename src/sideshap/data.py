@@ -80,10 +80,18 @@ def _meta_bytes(kind, seed, params) -> bytes:
                       sort_keys=True).encode("utf-8")
 
 
+def _split_sizes(n: int):
+    """Train and validation sizes for n samples (the rest are test samples);
+    a ContractError if any split would be empty. Checked before any draw."""
+    n_train, n_val = int(0.7 * n), int(0.15 * n)
+    if min(n_train, n_val, n - n_train - n_val) < 1:
+        raise ContractError(f"n_samples={n} leaves a split empty (7 or more are needed)")
+    return n_train, n_val
+
+
 def _make_splits(n: int, rng: np.random.Generator) -> dict:
     order = rng.permutation(n)
-    n_train = int(0.7 * n)
-    n_val = int(0.15 * n)
+    n_train, n_val = _split_sizes(n)
     return {
         "train": np.sort(order[:n_train]),
         "val": np.sort(order[n_train:n_train + n_val]),
@@ -95,6 +103,8 @@ def generate_dataset(kind: str, params: dict, seed: int) -> SyntheticDataset:
     """Deterministic synthetic dataset; identical seed reproduces identical bytes."""
     if kind not in KINDS:
         raise ContractError(f"unknown dataset kind {kind!r}")
+    if seed < 0:
+        raise ContractError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     if kind == "planted-patch":
         return _planted_patch(params, seed, rng)
@@ -108,6 +118,7 @@ def _planted_patch(params: dict, seed: int, rng: np.random.Generator) -> Synthet
     n = int(params.get("n_samples", 2000))
     marker = float(params.get("marker", 3.0))
     signal_mean = float(params.get("signal_mean", 1.0))
+    _split_sizes(n)
     if k > d:
         raise ContractError(f"k_signal={k} exceeds d={d}")
     if token_dim < 2:
@@ -142,6 +153,10 @@ def _linear_logit(params: dict, seed: int, rng: np.random.Generator) -> Syntheti
     num_classes = int(params.get("num_classes", 2))
     n = int(params.get("n_samples", 2000))
     scale = float(params.get("logit_scale", 4.0))
+    _split_sizes(n)
+    if min(d, token_dim) < 1 or num_classes < 2:
+        raise ContractError(f"linear-logit needs d, token_dim >= 1 and num_classes >= 2, "
+                            f"not {d}, {token_dim}, {num_classes}")
 
     w = rng.standard_normal((token_dim, num_classes)).astype(np.float64)
     tokens = rng.standard_normal((n, d, token_dim)).astype(np.float32)

@@ -7,7 +7,7 @@ can be cross-checked with brute force on small player counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,12 +97,6 @@ def cka(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(xc.T @ yc) ** 2 / (xx * yy))
 
 
-def class_token_features(model, tokens: np.ndarray) -> list:
-    """Class-token state after every block, as numpy (n, hidden) matrices."""
-    states = model.block_states(tokens, None)
-    return [s.numpy()[:, 0, :] for s in states]
-
-
 def gradient_conflict(g1: np.ndarray, g2: np.ndarray) -> float:
     """Cosine of the angle between two flattened gradient vectors."""
     g1 = np.asarray(g1, dtype=np.float64).ravel()
@@ -117,9 +111,7 @@ def gradient_conflict(g1: np.ndarray, g2: np.ndarray) -> float:
 # analytic cost accounting (FLOPs = 2 * MACs, forward pass, batch 1)
 
 
-def _block_macs(seq: int, hidden: int, mlp_hidden: int | None = None) -> int:
-    if mlp_hidden is None:
-        mlp_hidden = 4 * hidden
+def _block_macs(seq: int, hidden: int, mlp_hidden: int) -> int:
     qkv = seq * hidden * 3 * hidden
     scores = seq * seq * hidden  # heads * T * T * head_dim
     mix = seq * seq * hidden
@@ -151,16 +143,16 @@ def side_branch_macs(config: ModelConfig, side: SideConfig) -> int:
     return total
 
 
-def separate_explainer_macs(config: ModelConfig, extra_blocks: int = 3) -> int:
+def separate_explainer_macs(config: ModelConfig) -> int:
     """Cost of a conventional stand-alone amortized explainer.
 
     Modeled as a full-width backbone of the same architecture plus a small
-    explanation neck (extra full-width attention blocks) and a per-token
-    attribution head.
+    explanation neck (three extra full-width attention blocks) and a
+    per-token attribution head.
     """
     t = config.num_tokens + 1
     total = config.num_tokens * config.token_input_dim * config.hidden
-    total += (config.depth + extra_blocks) * _block_macs(
+    total += (config.depth + 3) * _block_macs(
         t, config.hidden, config.mlp_hidden)
     total += t * config.hidden * config.num_classes
     return total
@@ -176,20 +168,7 @@ class EfficiencyReport:
     combined_flops: int  # prediction + attribution in one shared-backbone pass
     separate_flops: int  # prediction + stand-alone explainer
     flops_reduction: float
-    memory_bytes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "classifier_params": self.classifier_params,
-            "surrogate_params": self.surrogate_params,
-            "explainer_params": self.explainer_params,
-            "trainable_reduction": self.trainable_reduction,
-            "classifier_flops": self.classifier_flops,
-            "combined_flops": self.combined_flops,
-            "separate_flops": self.separate_flops,
-            "flops_reduction": self.flops_reduction,
-            "memory_bytes": self.memory_bytes,
-        }
+    memory_bytes: dict
 
 
 def analytic_memory_report(config: ModelConfig, side: SideConfig) -> dict:
@@ -218,8 +197,7 @@ def analytic_memory_report(config: ModelConfig, side: SideConfig) -> dict:
     }
 
 
-def efficiency_report(config: ModelConfig, reduction: int = 8,
-                      explainer_head_depth: int = 3) -> EfficiencyReport:
+def efficiency_report(config: ModelConfig, reduction: int = 8) -> EfficiencyReport:
     """Analytic parameter, FLOPs and memory accounting at one reduction.
 
     The "combined" figure counts the classifier plus the explainer branch on
@@ -228,8 +206,7 @@ def efficiency_report(config: ModelConfig, reduction: int = 8,
     backbone and surrogate, for v(x_0); neither is counted here.
     """
     sur = SideConfig(reduction=reduction, role=ROLE_SURROGATE)
-    exp = SideConfig(reduction=reduction, role=ROLE_EXPLAINER,
-                     explainer_head_depth=explainer_head_depth)
+    exp = SideConfig(reduction=reduction, role=ROLE_EXPLAINER)
     cls_params = count_params(config)
     sur_params = count_side_params(config, sur)
     exp_params = count_side_params(config, exp)
@@ -262,11 +239,6 @@ class BoundReport:
     rhs: float
     harmonic_factor: float
     verdict: str  # "PASS" or "FAIL"
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in
-                ("lhs", "loss_model", "loss_optimal", "gap_upper", "rhs",
-                 "harmonic_factor", "verdict")}
 
 
 def attribution_error_bound(model_phis: np.ndarray, exact_phis: np.ndarray,

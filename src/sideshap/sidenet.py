@@ -39,6 +39,8 @@ class SideConfig:
     explainer_head_depth: int = 3
 
     def __post_init__(self):
+        if self.reduction < 1:
+            raise ContractError("reduction must be >= 1")
         if self.role not in (ROLE_SURROGATE, ROLE_EXPLAINER):
             raise ContractError(f"unknown side role {self.role!r}")
         if self.explainer_head_depth < 1:
@@ -92,7 +94,7 @@ class SideTunedModel:
         for tap_fc, block, state in zip(self.downsamplers, self.side_blocks, states):
             tap = tap_fc(state)
             inp = tap if z is None else z + tap
-            z = block(inp, None)
+            z = block(inp)
         return self.side_norm(z)  # (batch, tokens in the states, side_hidden)
 
     def _surrogate_head(self, backbone_states) -> Tensor:
@@ -107,7 +109,7 @@ class SideTunedModel:
         backbone's compacted states. ``backbone_states`` (unmasked only)
         reuses states that are already computed."""
         if self.side_config.role != ROLE_SURROGATE:
-            raise ContractError("surrogate_forward called on a non-surrogate branch")
+            raise ContractError("surrogate_logits called on a non-surrogate branch")
         if mask is None:
             if backbone_states is None:
                 backbone_states = self.backbone.block_states(tokens, None)
@@ -125,7 +127,7 @@ class SideTunedModel:
     def explainer_raw(self, tokens: np.ndarray, backbone_states=None) -> Tensor:
         """Unconstrained attribution grid of shape (batch, d, num_classes)."""
         if self.side_config.role != ROLE_EXPLAINER:
-            raise ContractError("explainer_forward called on a non-explainer branch")
+            raise ContractError("explainer_raw called on a non-explainer branch")
         if backbone_states is None:
             backbone_states = self.backbone.block_states(tokens, None)
         c = self.backbone.config
@@ -134,9 +136,6 @@ class SideTunedModel:
         for layer in self.head_layers[:-1]:
             h = ad.gelu(layer(h))
         return self.head_layers[-1](h)  # (batch, d, num_classes)
-
-    def explainer_forward(self, tokens: np.ndarray) -> np.ndarray:
-        return self.explainer_raw(tokens).numpy()
 
     # ------------------------------------------------------------------
     def named_side_parameters(self):

@@ -22,7 +22,6 @@ from .shapley import (
     shapley_kernel,
 )
 from .sidenet import (
-    ROLE_SURROGATE,
     SideConfig,
     SideTunedModel,
     make_explainer_from_surrogate,
@@ -38,7 +37,6 @@ from .transformer import (
 
 @dataclass
 class StageConfig:
-    stage: str
     epochs: int
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     batch_size: int = 32
@@ -50,10 +48,12 @@ class StageConfig:
     mask_bank: int = 0  # explainer stage: fixed per-input mask bank (0 = resample per step)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
-        if self.masks_per_input % 2 != 0:
-            raise ContractError("masks_per_input must be even (paired sampling)")
+        if min(self.epochs, self.batch_size, self.inputs_per_batch) < 1:
+            raise ContractError("epochs, batch_size and inputs_per_batch must be >= 1")
+        if self.masks_per_input < 2 or self.masks_per_input % 2 != 0:
+            raise ContractError("masks_per_input must be even and >= 2 (paired sampling)")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
         if self.mask_bank < 0 or self.mask_bank % 2 != 0:
             raise ContractError("mask_bank must be a non-negative even number")
         if self.label_mode not in ("weighted", "label"):
@@ -67,7 +67,6 @@ class LossRecord:
     best_epoch: int = -1
     initial_loss: float = float("nan")
     final_loss: float = float("nan")
-    optimal_loss_estimate: float | None = None
     extra: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -77,7 +76,6 @@ class LossRecord:
             "best_epoch": self.best_epoch,
             "initial_loss": self.initial_loss,
             "final_loss": self.final_loss,
-            "optimal_loss_estimate": self.optimal_loss_estimate,
             "extra": self.extra,
         }
 
@@ -219,12 +217,12 @@ def train_classifier(dataset: SyntheticDataset, model_config: ModelConfig,
     return model, record
 
 
-def _classifier_val_loss(model, x_val, y_val, chunk=256):
+def _classifier_val_loss(model, x_val, y_val):
     total, n = 0.0, 0
     c = model.config.num_classes
     with ad.no_grad():
-        for start in range(0, len(x_val), chunk):
-            xb, yb = x_val[start:start + chunk], y_val[start:start + chunk]
+        for start in range(0, len(x_val), 256):
+            xb, yb = x_val[start:start + 256], y_val[start:start + 256]
             loss = _mse_class_loss(model.forward(xb), yb, c)
             total += loss.item() * len(xb)
             n += len(xb)
@@ -236,14 +234,12 @@ def _classifier_val_loss(model, x_val, y_val, chunk=256):
 
 
 def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
-                    config: StageConfig, side: SideConfig | None = None):
+                    config: StageConfig, side: SideConfig):
     """Side-tune a surrogate branch to mimic f(x) on masked inputs.
 
     Backbone bytes are hash-checked before and after; a mutation is an
     invariant violation.
     """
-    if side is None:
-        side = SideConfig(role=ROLE_SURROGATE)
     rng = np.random.default_rng(config.seed)
     model = SideTunedModel(classifier, side, seed=config.seed)
     backbone_before = state_digest(classifier.state_dict())
@@ -281,10 +277,10 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
 
 
 def surrogate_mask_values(surrogate: SideTunedModel, tokens_one: np.ndarray,
-                          masks: np.ndarray, chunk: int = 512) -> np.ndarray:
+                          masks: np.ndarray) -> np.ndarray:
     """Surrogate class probabilities for one input under many masks."""
     rep = np.repeat(tokens_one[None], len(masks), axis=0)
-    return _softmax_np(_chunked_logits(surrogate.surrogate_logits, rep, masks, chunk))
+    return _softmax_np(_chunked_logits(surrogate.surrogate_logits, rep, masks, 512))
 
 
 def _softmax_np(logits):
@@ -421,11 +417,12 @@ class HeadExplainerModel:
     Used by the froyo (head-only training) and duo (joint training) pipelines.
     """
 
-    def __init__(self, config: ModelConfig, head_depth: int = 3, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         self.net = MaskedTransformer(config, seed=seed)
         rng = np.random.default_rng(seed + 17)
         h = config.hidden
-        self.expl_head = [Linear(rng, h, h) for _ in range(head_depth)]
+        # as deep as the side explainer's head (SideConfig.explainer_head_depth)
+        self.expl_head = [Linear(rng, h, h) for _ in range(3)]
         self.expl_head.append(Linear(rng, h, config.num_classes))
 
     @property

@@ -6,8 +6,6 @@ embeddings are added. Feature removal means that no token can read a
 removed token as an attention key. Since a removed token then never reaches
 the class token, a masked pass runs on the class token and the kept tokens
 alone (token compaction), each kept token with its own position row.
-``mask_key_bias`` builds the equivalent additive key bias, kept as the
-reference the compacted pass is tested against.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, Tensor
-
-NEG_MASK_VALUE = -1e9  # finite stand-in for -inf added to attention scores
 
 
 @dataclass
@@ -34,14 +30,12 @@ class ModelConfig:
     use_positional: bool = True
 
     def __post_init__(self):
+        if min(self.depth, self.hidden, self.heads) < 1:
+            raise ContractError("depth, hidden and heads must be >= 1")
         if self.hidden % self.heads != 0:
             raise ContractError(f"hidden={self.hidden} not divisible by heads={self.heads}")
         if self.num_tokens < 2:
             raise ContractError("num_tokens must be >= 2")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads
 
     @property
     def mlp_hidden(self) -> int:
@@ -74,10 +68,9 @@ def kaiming_normal(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 
 class Linear:
-    def __init__(self, rng, in_dim, out_dim, trainable=True):
-        self.weight = Tensor(kaiming_normal(rng, in_dim, (in_dim, out_dim)),
-                             requires_grad=trainable)
-        self.bias = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=trainable)
+    def __init__(self, rng, in_dim, out_dim):
+        self.weight = Tensor(kaiming_normal(rng, in_dim, (in_dim, out_dim)), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return (x @ self.weight) + self.bias
@@ -87,9 +80,9 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, dim, trainable=True):
-        self.gamma = Tensor(np.ones(dim, dtype=np.float32), requires_grad=trainable)
-        self.beta = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=trainable)
+    def __init__(self, dim):
+        self.gamma = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta)
@@ -101,25 +94,19 @@ class LayerNorm:
 class MsaBlock:
     """Pre-norm transformer block: LN -> masked MSA -> residual -> LN -> MLP -> residual."""
 
-    def __init__(self, rng, hidden, heads, mlp_hidden, trainable=True):
+    def __init__(self, rng, hidden, heads, mlp_hidden):
         self.hidden = hidden
         self.heads = heads
         self.head_dim = hidden // heads
-        self.ln1 = LayerNorm(hidden, trainable)
-        self.qkv = Linear(rng, hidden, 3 * hidden, trainable)
-        self.proj = Linear(rng, hidden, hidden, trainable)
-        self.ln2 = LayerNorm(hidden, trainable)
-        self.fc1 = Linear(rng, hidden, mlp_hidden, trainable)
-        self.fc2 = Linear(rng, mlp_hidden, hidden, trainable)
+        self.ln1 = LayerNorm(hidden)
+        self.qkv = Linear(rng, hidden, 3 * hidden)
+        self.proj = Linear(rng, hidden, hidden)
+        self.ln2 = LayerNorm(hidden)
+        self.fc1 = Linear(rng, hidden, mlp_hidden)
+        self.fc2 = Linear(rng, mlp_hidden, hidden)
 
-    def attention(self, t: Tensor, key_bias: np.ndarray | None) -> Tensor:
-        """Multi-head self-attention.
-
-        key_bias: None, or (batch, 1, 1, T) additive scores from
-        ``mask_key_bias``, 0 for visible keys and NEG_MASK_VALUE for removed
-        ones. Masked passes compact their tokens instead; the bias serves
-        as their test reference.
-        """
+    def attention(self, t: Tensor) -> Tensor:
+        """Multi-head self-attention over every token of ``t``."""
         b, n, h = t.shape
         k_h, d_h = self.heads, self.head_dim
         qkv = self.qkv(t)  # (b, n, 3h)
@@ -132,16 +119,14 @@ class MsaBlock:
         k = ad.reshape(k, (b, k_h, n, d_h))
         v = ad.reshape(v, (b, k_h, n, d_h))
         scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d_h))
-        if key_bias is not None:
-            scores = scores + Tensor(key_bias.astype(np.float32))
         attn = ad.softmax(scores)  # (b, heads, n, n)
         out = ad.matmul(attn, v)  # (b, heads, n, d_h)
         out = ad.transpose(out, (0, 2, 1, 3))
         out = ad.reshape(out, (b, n, h))
         return self.proj(out)
 
-    def __call__(self, x: Tensor, key_bias: np.ndarray | None) -> Tensor:
-        x = x + self.attention(self.ln1(x), key_bias)
+    def __call__(self, x: Tensor) -> Tensor:
+        x = x + self.attention(self.ln1(x))
         x = x + self.fc2(ad.gelu(self.fc1(self.ln2(x))))
         return x
 
@@ -175,24 +160,6 @@ def load_named_state(named: dict, state: dict):
                 f"shape mismatch for {k}: {np.shape(state[k])} vs {p.data.shape}")
     for k, p in named.items():
         p.data = np.array(state[k], dtype=np.float32)
-
-
-def mask_key_bias(mask: np.ndarray, num_tokens: int) -> np.ndarray:
-    """Additive attention bias from a feature mask.
-
-    mask: (batch, d) with 1 = retained. Returns (batch, 1, 1, d+1) where the
-    class token column (index 0) is always visible.
-    """
-    mask = np.asarray(mask)
-    if mask.ndim == 1:
-        mask = mask[None, :]
-    if mask.shape[-1] != num_tokens:
-        raise ContractError(
-            f"mask length {mask.shape[-1]} != num_tokens {num_tokens}")
-    b = mask.shape[0]
-    bias = np.zeros((b, 1, 1, num_tokens + 1), dtype=np.float32)
-    bias[:, 0, 0, 1:] = NEG_MASK_VALUE * (1.0 - mask.astype(np.float32))
-    return bias
 
 
 def masked_batch(tokens: np.ndarray, mask: np.ndarray, num_tokens: int):
@@ -240,26 +207,25 @@ def by_kept_count(run, tokens: np.ndarray, mask: np.ndarray, num_tokens: int) ->
 class MaskedTransformer:
     """Transformer classifier f supporting attention-mask feature removal."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, trainable: bool = True):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
         c = config
-        self.embed = Linear(rng, c.token_input_dim, c.hidden, trainable)
+        self.embed = Linear(rng, c.token_input_dim, c.hidden)
         self.class_token = Tensor(
             (rng.standard_normal((1, 1, c.hidden)) * 0.02).astype(np.float32),
-            requires_grad=trainable)
+            requires_grad=True)
         if c.use_positional:
             self.positions = Tensor(
                 (rng.standard_normal((1, c.num_tokens + 1, c.hidden)) * 0.02).astype(np.float32),
-                requires_grad=trainable)
+                requires_grad=True)
         else:
             self.positions = None
         self.blocks = [
-            MsaBlock(rng, c.hidden, c.heads, c.mlp_hidden, trainable)
-            for _ in range(c.depth)
+            MsaBlock(rng, c.hidden, c.heads, c.mlp_hidden) for _ in range(c.depth)
         ]
-        self.final_norm = LayerNorm(c.hidden, trainable)
-        self.head = Linear(rng, c.hidden, c.num_classes, trainable)
+        self.final_norm = LayerNorm(c.hidden)
+        self.head = Linear(rng, c.hidden, c.num_classes)
 
     # ------------------------------------------------------------------
     def embed_tokens(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
@@ -311,7 +277,7 @@ class MaskedTransformer:
         x = self.embed_tokens(tokens, mask)
         states = []
         for block in self.blocks:
-            x = block(x, None)
+            x = block(x)
             states.append(x)
         return states
 

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from sideshap.autodiff import Tensor
+import sideshap.autodiff as ad
+from sideshap.autodiff import ContractError, Tensor
 
 
 def fd_gradient(build_loss, values, eps=1e-6):
@@ -49,19 +50,55 @@ def relative_error(a, b):
     return float(np.abs(a - b).max() / denom)
 
 
+NEG_MASK_VALUE = -1e9  # finite stand-in for -inf added to attention scores
+
+
+def mask_key_bias(mask, num_tokens):
+    """Additive attention bias from a feature mask.
+
+    mask: (batch, d) with 1 = retained. Returns (batch, 1, 1, d+1) where the
+    class token column (index 0) is always visible.
+    """
+    mask = np.asarray(mask)
+    if mask.ndim == 1:
+        mask = mask[None, :]
+    if mask.shape[-1] != num_tokens:
+        raise ContractError(f"mask length {mask.shape[-1]} != num_tokens {num_tokens}")
+    bias = np.zeros((mask.shape[0], 1, 1, num_tokens + 1), dtype=np.float32)
+    bias[:, 0, 0, 1:] = NEG_MASK_VALUE * (1.0 - mask.astype(np.float32))
+    return bias
+
+
+def key_bias_block(block, x, bias):
+    """``block(x)`` with ``bias`` added to every head's attention scores.
+
+    Built from the block's own layers, so it runs the same weights as
+    ``MsaBlock.__call__``; removed tokens stay in ``x`` but no token can
+    read them as keys.
+    """
+    t = block.ln1(x)
+    b, n, h = t.shape
+    k_h, d_h = block.heads, block.head_dim
+    qkv = ad.transpose(ad.reshape(block.qkv(t), (b, n, 3, k_h, d_h)), (2, 0, 3, 1, 4))
+    q, k, v = (ad.reshape(ad.narrow(qkv, 0, i, 1), (b, k_h, n, d_h)) for i in range(3))
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d_h))
+    attn = ad.softmax(scores + Tensor(bias))
+    out = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, n, h))
+    x = x + block.proj(out)
+    return x + block.fc2(ad.gelu(block.fc1(block.ln2(x))))
+
+
 def key_bias_states(model, tokens, mask):
     """Backbone block states with masked tokens hidden by ``mask_key_bias``.
 
     The reference for the compacted pass: every token is kept, and removed
     tokens are hidden as attention keys in every block.
     """
-    from sideshap.transformer import mask_key_bias
-
     bias = mask_key_bias(mask, model.config.num_tokens)
     x = model.embed_tokens(tokens)
     states = []
     for block in model.blocks:
-        x = block(x, bias)
+        x = key_bias_block(block, x, bias)
         states.append(x)
     return states
 
@@ -72,15 +109,12 @@ def key_bias_logits(model, tokens, mask):
 
 def key_bias_surrogate_logits(surrogate, tokens, mask):
     """Surrogate logits with the side branch hidden by the same key bias."""
-    import sideshap.autodiff as ad
-    from sideshap.transformer import mask_key_bias
-
     bias = mask_key_bias(mask, surrogate.backbone.config.num_tokens)
     z = None
     for tap_fc, block, state in zip(surrogate.downsamplers, surrogate.side_blocks,
                                     key_bias_states(surrogate.backbone, tokens, mask)):
         tap = tap_fc(state)
-        z = block(tap if z is None else z + tap, bias)
+        z = key_bias_block(block, tap if z is None else z + tap, bias)
     seq = surrogate.side_norm(z)
     cls = ad.reshape(ad.narrow(seq, 1, 0, 1), (seq.shape[0], surrogate.side_hidden))
     return surrogate.head_layers[0](cls)

@@ -79,11 +79,11 @@ def planted16():
     mc = ModelConfig(depth=2, hidden=32, heads=4, num_tokens=16,
                      token_input_dim=8, num_classes=2)
     clf, crec = train_classifier(ds, mc, StageConfig(
-        stage="classifier", epochs=6, batch_size=32, seed=0,
+        epochs=6, batch_size=32, seed=0,
         optimizer=_adam(3e-3)))
     backbone_bytes = {k: v.tobytes() for k, v in clf.state_dict().items()}
     sur, srec = train_surrogate(clf, ds, StageConfig(
-        stage="surrogate", epochs=8, masks_per_input=16, inputs_per_batch=8,
+        epochs=8, masks_per_input=16, inputs_per_batch=8,
         seed=1, optimizer=_adam(3e-3)),
         SideConfig(reduction=2, role=ROLE_SURROGATE))
     return {"ds": ds, "clf": clf, "sur": sur, "crec": crec, "srec": srec,
@@ -99,14 +99,14 @@ def planted12():
     mc = ModelConfig(depth=2, hidden=32, heads=4, num_tokens=12,
                      token_input_dim=6, num_classes=2)
     clf, _ = train_classifier(ds, mc, StageConfig(
-        stage="classifier", epochs=6, batch_size=32, seed=0,
+        epochs=6, batch_size=32, seed=0,
         optimizer=_adam(3e-3)))
     sur, _ = train_surrogate(clf, ds, StageConfig(
-        stage="surrogate", epochs=8, masks_per_input=16, inputs_per_batch=8,
+        epochs=8, masks_per_input=16, inputs_per_batch=8,
         seed=1, optimizer=_adam(3e-3)),
         SideConfig(reduction=1, role=ROLE_SURROGATE))
     exp, _ = train_explainer(sur, ds, StageConfig(
-        stage="explainer", epochs=40, masks_per_input=16, inputs_per_batch=56,
+        epochs=40, masks_per_input=16, inputs_per_batch=56,
         seed=2, step_decay=0.99, optimizer=_adam(3e-3)))
     return {"ds": ds, "clf": clf, "sur": sur, "exp": exp,
             "combined": CombinedModel(clf, sur, exp)}
@@ -121,14 +121,14 @@ def linear12():
     mc = ModelConfig(depth=2, hidden=32, heads=4, num_tokens=12,
                      token_input_dim=4, num_classes=2)
     clf, _ = train_classifier(ds, mc, StageConfig(
-        stage="classifier", epochs=6, batch_size=32, seed=0,
+        epochs=6, batch_size=32, seed=0,
         optimizer=_adam(3e-3)))
     sur, _ = train_surrogate(clf, ds, StageConfig(
-        stage="surrogate", epochs=8, masks_per_input=16, inputs_per_batch=8,
+        epochs=8, masks_per_input=16, inputs_per_batch=8,
         seed=1, optimizer=_adam(3e-3)),
         SideConfig(reduction=1, role=ROLE_SURROGATE))
     exp, _ = train_explainer(sur, ds, StageConfig(
-        stage="explainer", epochs=150, masks_per_input=24, inputs_per_batch=64,
+        epochs=150, masks_per_input=24, inputs_per_batch=64,
         seed=2, step_decay=0.993, mask_bank=256, optimizer=_adam(3e-3)))
     x_test, _ = ds.split("test")
     x_held = x_test[:50]
@@ -479,7 +479,7 @@ def test_16_pipeline_comparison(report, planted12):
     ds, clf, sur, combined = (planted12["ds"], planted12["clf"],
                               planted12["sur"], planted12["combined"])
     froyo, _ = train_froyo(clf, ds, StageConfig(
-        stage="froyo", epochs=40, masks_per_input=16, inputs_per_batch=56,
+        epochs=40, masks_per_input=16, inputs_per_batch=56,
         seed=4, step_decay=0.99, optimizer=_adam(3e-3)))
     x_all = ds.tokens[np.random.default_rng(0).permutation(len(ds.tokens))[:200]]
     logits, phi, _ = combined.explain(x_all)
@@ -492,7 +492,7 @@ def test_16_pipeline_comparison(report, planted12):
     ins_froyo, _ = _mean_aucs(sur, x_all, froyo_attr, pred)
 
     _, drec = train_duo(clf, ds, StageConfig(
-        stage="duo", epochs=1, masks_per_input=8, inputs_per_batch=8,
+        epochs=1, masks_per_input=8, inputs_per_batch=8,
         seed=5, optimizer=_adam(1e-3)))
     trace = drec.extra["gradient_conflict_trace"]
     negatives = int(sum(c < 0 for c in trace))
@@ -532,14 +532,14 @@ def test_18_determinism(report, tmp_path):
         mc = ModelConfig(depth=1, hidden=16, heads=2, num_tokens=6,
                          token_input_dim=3, num_classes=2)
         clf, crec = train_classifier(ds, mc, StageConfig(
-            stage="classifier", epochs=2, batch_size=16, seed=0,
+            epochs=2, batch_size=16, seed=0,
             optimizer=_adam(1e-3)))
         sur, srec = train_surrogate(clf, ds, StageConfig(
-            stage="surrogate", epochs=1, masks_per_input=4, inputs_per_batch=4,
+            epochs=1, masks_per_input=4, inputs_per_batch=4,
             seed=1, optimizer=_adam(1e-3)),
             SideConfig(reduction=2, role=ROLE_SURROGATE))
         exp, erec = train_explainer(sur, ds, StageConfig(
-            stage="explainer", epochs=1, masks_per_input=4, inputs_per_batch=4,
+            epochs=1, masks_per_input=4, inputs_per_batch=4,
             seed=2, optimizer=_adam(1e-3)))
         return clf, sur, exp, (crec.to_dict(), srec.to_dict(), erec.to_dict())
 

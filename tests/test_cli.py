@@ -356,3 +356,84 @@ def test_gen_data_respects_outdir_env(capsys, tmp_path, monkeypatch):
     code, stdout, _ = run(capsys, "gen-data", *TINY)
     assert code == EXIT_OK
     assert json.loads(stdout)["path"] == str(tmp_path / "dataset.npz")
+
+
+# ---------------------------------------------------------------------------
+# out-of-range values fail early, with an exit code and no output file
+
+
+def _boundary_inputs(command, artifacts):
+    """Valid inputs of ``command`` on the pipeline's files; a case's flags come after."""
+    data = ["--data", artifacts["data"]]
+    return {
+        "gen-data": TINY,
+        "train-classifier": [*data, *FAST_MODEL, *FAST_TRAIN],
+        "train-surrogate": [*data, "--classifier", artifacts["classifier"],
+                            "--set", "side.reduction=2", *FAST_TRAIN],
+        "evaluate": [*data, "--classifier", artifacts["classifier"],
+                     "--surrogate", artifacts["surrogate"],
+                     "--explainer", artifacts["explainer"], "--samples", "2"],
+    }.get(command, [])
+
+
+BOUNDARY_CASES = [
+    # (command, flags, exit code, stderr prefix, text the message names)
+    pytest.param("train-classifier", ["--set", "train.step_size=1e30"],
+                 EXIT_CHECK_FAILED, "training diverged:", "diverged",
+                 # overflow on the way to the non-finite loss is expected
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ("train-classifier", ["--set", "train.step_size=nan"],
+     EXIT_CHECK_FAILED, "contract violation:", "step_size"),
+    ("train-classifier", ["--set", "train.step_size=inf"],
+     EXIT_CHECK_FAILED, "contract violation:", "step_size"),
+    ("train-classifier", ["--set", "train.batch_size=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "batch_size"),
+    ("train-classifier", ["--set", "train.seed=-1"],
+     EXIT_CHECK_FAILED, "contract violation:", "seed"),
+    ("train-classifier", ["--set", "model.heads=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "heads"),
+    ("train-classifier", ["--set", "model.depth=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "depth"),
+    ("train-surrogate", ["--set", "train.inputs_per_batch=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "inputs_per_batch"),
+    ("train-surrogate", ["--set", "train.masks_per_input=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "masks_per_input"),
+    ("train-surrogate", ["--set", "side.reduction=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "reduction"),
+    ("count-params", ["--reduction", "0"],
+     EXIT_CHECK_FAILED, "contract violation:", "reduction"),
+    ("gen-data", ["--set", "data.n_samples=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "split"),
+    ("gen-data", ["--set", "data.n_samples=5"],
+     EXIT_CHECK_FAILED, "contract violation:", "split"),
+    ("gen-data", ["--set", "data.n_samples=-5"],
+     EXIT_CHECK_FAILED, "contract violation:", "split"),
+    ("gen-data", ["--set", "data.seed=-1"],
+     EXIT_CHECK_FAILED, "contract violation:", "seed"),
+    ("gen-data", ["--set", "data.kind=linear-logit", "--set", "data.num_classes=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "num_classes"),
+    ("gen-data", ["--set", "data.kind=linear-logit", "--set", "data.d=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "d, token_dim"),
+    ("evaluate", ["--seed", "-1"], EXIT_USAGE, "usage error:", "--seed"),
+    ("check-bounds", ["--seed", "-1"], EXIT_USAGE, "usage error:", "--seed"),
+    ("check-lemma", ["--d-max", "17"], EXIT_USAGE, "usage error:", "--d-max"),
+    ("check-lemma", ["--d-max", "1"], EXIT_USAGE, "usage error:", "--d-max"),
+]
+
+
+def _case_id(case):
+    command, flags = getattr(case, "values", case)[:2]
+    return " ".join([command, *(f for f in flags if f != "--set")])
+
+
+@pytest.mark.parametrize("command, flags, code, prefix, names", BOUNDARY_CASES,
+                         ids=[_case_id(case) for case in BOUNDARY_CASES])
+def test_out_of_range_value_fails_early(pipeline_artifacts, capsys, tmp_path, monkeypatch,
+                                        command, flags, code, prefix, names):
+    monkeypatch.setenv("SIDESHAP_OUTDIR", str(tmp_path))
+    got, out, err = run(capsys, command, *_boundary_inputs(command, pipeline_artifacts),
+                        *flags)
+    assert got == code
+    assert err.startswith(prefix) and names in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []

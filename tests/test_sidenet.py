@@ -69,7 +69,7 @@ def test_explainer_grid_shape():
     _, sur = build_pair()
     explainer = make_explainer_from_surrogate(sur, seed=2)
     x = np.random.default_rng(1).standard_normal((3, 8, 5)).astype(np.float32)
-    assert explainer.explainer_forward(x).shape == (3, 8, 3)
+    assert explainer.explainer_raw(x).numpy().shape == (3, 8, 3)
 
 
 def test_surrogate_inherits_mask_independence():

@@ -38,8 +38,8 @@ def tiny_dataset(seed=0, n=60):
                              "k_signal": 2}, seed=seed)
 
 
-def quick_stage(stage, **kw):
-    base = dict(stage=stage, epochs=1, batch_size=16, masks_per_input=4,
+def quick_stage(**kw):
+    base = dict(epochs=1, batch_size=16, masks_per_input=4,
                 inputs_per_batch=4, seed=0,
                 optimizer=OptimizerConfig(step_size=1e-3))
     base.update(kw)
@@ -49,8 +49,8 @@ def quick_stage(stage, **kw):
 @pytest.fixture(scope="module")
 def trained_pair():
     ds = tiny_dataset()
-    clf, _ = train_classifier(ds, TINY_MODEL, quick_stage("classifier", epochs=2))
-    sur, _ = train_surrogate(clf, ds, quick_stage("surrogate"),
+    clf, _ = train_classifier(ds, TINY_MODEL, quick_stage(epochs=2))
+    sur, _ = train_surrogate(clf, ds, quick_stage(),
                              SideConfig(reduction=2, role=ROLE_SURROGATE))
     return ds, clf, sur
 
@@ -85,13 +85,13 @@ def test_kl_divergence_nonnegative_property():
 
 def test_stage_config_validation():
     with pytest.raises(ContractError):
-        quick_stage("classifier", epochs=0)
+        quick_stage(epochs=0)
     with pytest.raises(ContractError):
-        quick_stage("explainer", masks_per_input=5)
+        quick_stage(masks_per_input=5)
     with pytest.raises(ContractError):
-        quick_stage("explainer", mask_bank=7)  # must be even
+        quick_stage(mask_bank=7)  # must be even
     with pytest.raises(ContractError, match="label_mode"):
-        quick_stage("explainer", label_mode="lable")
+        quick_stage(label_mode="lable")
 
 
 def test_loss_record_csv(tmp_path):
@@ -118,7 +118,7 @@ def test_state_digest_order_independent():
 
 def _train_stage(stage, trained_pair, epochs):
     ds, clf, sur = trained_pair
-    config = quick_stage(stage, epochs=epochs, optimizer=OptimizerConfig(step_size=3e-2))
+    config = quick_stage(epochs=epochs, optimizer=OptimizerConfig(step_size=3e-2))
     if stage == "classifier":
         model, rec = train_classifier(tiny_dataset(seed=1), TINY_MODEL, config)
         return model.state_dict(), rec
@@ -146,8 +146,8 @@ def test_best_checkpoint_rule(trained_pair, stage):
 
 def test_classifier_training_is_deterministic():
     ds = tiny_dataset(seed=2)
-    a, _ = train_classifier(ds, TINY_MODEL, quick_stage("classifier"))
-    b, _ = train_classifier(ds, TINY_MODEL, quick_stage("classifier"))
+    a, _ = train_classifier(ds, TINY_MODEL, quick_stage())
+    b, _ = train_classifier(ds, TINY_MODEL, quick_stage())
     assert state_digest(a.state_dict()) == state_digest(b.state_dict())
 
 
@@ -161,7 +161,7 @@ def test_surrogate_freezes_backbone(trained_pair):
 
 def test_surrogate_records_kl_losses(trained_pair):
     ds, clf, _ = trained_pair
-    sur, rec = train_surrogate(clf, ds, quick_stage("surrogate", epochs=2),
+    sur, rec = train_surrogate(clf, ds, quick_stage(epochs=2),
                                SideConfig(reduction=2, role=ROLE_SURROGATE))
     assert rec.initial_loss > 0
     assert rec.final_loss > 0
@@ -172,7 +172,7 @@ def test_surrogate_records_kl_losses(trained_pair):
 def test_explainer_initialized_from_surrogate_and_freezes_backbone(trained_pair):
     ds, clf, sur = trained_pair
     digest_before = state_digest(clf.state_dict())
-    exp, rec = train_explainer(sur, ds, quick_stage("explainer"))
+    exp, rec = train_explainer(sur, ds, quick_stage())
     assert state_digest(clf.state_dict()) == digest_before
     assert exp.side_config.role == "explainer"
     assert np.isfinite(rec.final_loss)
@@ -182,7 +182,7 @@ def test_explainer_mask_bank_mode(trained_pair):
     """Precomputed-target mode trains, freezes the backbone, and converges."""
     ds, clf, sur = trained_pair
     before = state_digest(clf.state_dict())
-    exp, rec = train_explainer(sur, ds, quick_stage("explainer", epochs=3,
+    exp, rec = train_explainer(sur, ds, quick_stage(epochs=3,
                                                     mask_bank=16))
     assert state_digest(clf.state_dict()) == before
     assert np.isfinite(rec.final_loss)
@@ -220,7 +220,7 @@ def test_explainer_builds_frozen_inputs_once(trained_pair, monkeypatch):
     counts = []
     for epochs in (1, 3):
         calls.clear()
-        train_explainer(sur, ds, quick_stage("explainer", epochs=epochs, mask_bank=4))
+        train_explainer(sur, ds, quick_stage(epochs=epochs, mask_bank=4))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -268,7 +268,7 @@ def test_value_targets_bit_equal_to_stacked_extremes(trained_pair, label_mode,
 
 def test_froyo_trains_only_explanation_head(trained_pair):
     ds, clf, _ = trained_pair
-    model, rec = train_froyo(clf, ds, quick_stage("froyo"))
+    model, rec = train_froyo(clf, ds, quick_stage())
     assert state_digest(model.net.state_dict()) == state_digest(clf.state_dict())
     assert np.isfinite(rec.final_loss)
 
@@ -276,7 +276,7 @@ def test_froyo_trains_only_explanation_head(trained_pair):
 def test_duo_trains_jointly_and_records_conflict(trained_pair):
     ds, clf, _ = trained_pair
     before = state_digest(clf.state_dict())
-    model, rec = train_duo(clf, ds, quick_stage("duo"))
+    model, rec = train_duo(clf, ds, quick_stage())
     # the original classifier is untouched; the duo copy moves
     assert state_digest(clf.state_dict()) == before
     assert state_digest(model.net.state_dict()) != before

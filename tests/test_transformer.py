@@ -7,16 +7,20 @@ from scipy.special import erf
 import sideshap.autodiff as ad
 from sideshap.autodiff import ContractError, Tensor
 from sideshap.transformer import (
-    NEG_MASK_VALUE,
     PRESETS,
     MaskedTransformer,
     ModelConfig,
     block_param_count,
     count_params,
-    mask_key_bias,
 )
 
-from conftest import key_bias_logits, mixed_masks, relative_error
+from conftest import (
+    NEG_MASK_VALUE,
+    key_bias_logits,
+    mask_key_bias,
+    mixed_masks,
+    relative_error,
+)
 
 TOY = ModelConfig(depth=2, hidden=32, heads=4, num_tokens=8,
                   token_input_dim=5, num_classes=3)
