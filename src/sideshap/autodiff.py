@@ -23,7 +23,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "reshape", "transpose",
     "broadcast_to", "concat", "narrow", "take", "tensor_sum", "mean", "square",
     "log", "exp", "sqrt", "gelu", "relu", "softmax", "log_softmax",
-    "layer_norm", "no_grad",
+    "attention", "layer_norm", "no_grad",
 ]
 
 _SQRT_2 = np.sqrt(2.0)
@@ -255,7 +255,8 @@ def neg(a: Tensor) -> Tensor:
     return _result(-a.data, ((a, lambda g: -g),))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus ``bias`` (broadcast like ``add``) in the same node."""
     if a.data.ndim < 1 or b.data.ndim < 1 or a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     out = np.matmul(a.data, b.data)
@@ -268,7 +269,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(gb, b.shape)
 
-    return _result(out, ((a, grad_a), (b, grad_b)))
+    parents = [(a, grad_a), (b, grad_b)]
+    if bias is not None:
+        try:
+            out = out + bias.data
+        except ValueError:
+            raise DimensionError(
+                f"matmul: bias shape {bias.shape} does not broadcast to {out.shape}") from None
+        parents.append((bias, lambda g: _unbroadcast(g, bias.shape)))
+    return _result(out, parents)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -446,6 +455,44 @@ def softmax(a: Tensor) -> Tensor:
     return _result(out, ((a, grad_fn),))
 
 
+def attention(qkv: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention core: ``(b, n, 3h)`` q|k|v rows to ``(b, n, h)``.
+
+    One node in place of the split, scaled scores, softmax, mix and merge.
+    The forward makes the numpy calls of that composition in the same order,
+    so its output is bit-equal to it; the two products go through
+    ``matmul`` and the softmax through ``softmax``, on parentless tensors.
+    The backward uses the softmax-Jacobian identity
+    dS = A * (dA - rowsum(dA * A)), as in FlashAttention (Dao et al., 2022).
+    """
+    if qkv.data.ndim != 3 or heads < 1 or qkv.shape[-1] % (3 * heads):
+        raise DimensionError(
+            f"attention: qkv shape {qkv.shape} is not (b, n, 3 * {heads} * head_dim)")
+    b, n, width = qkv.shape
+    h = width // 3
+    d_h = h // heads
+    split = qkv.data.reshape(b, n, 3, heads, d_h).transpose(2, 0, 3, 1, 4)
+    q, k, v = (np.ascontiguousarray(split[i]) for i in range(3))  # (b, heads, n, d_h)
+    scale = np.asarray(1.0 / np.sqrt(d_h), dtype=qkv.dtype)
+    with no_grad():
+        scores = matmul(Tensor(q), Tensor(k.transpose(0, 1, 3, 2))).data * scale
+        attn = softmax(Tensor(scores)).data
+        mixed = matmul(Tensor(attn), Tensor(v)).data
+    out = mixed.transpose(0, 2, 1, 3).reshape(b, n, h)
+
+    def grad_fn(g):
+        d_out = g.reshape(b, n, heads, d_h).transpose(0, 2, 1, 3)
+        d_qkv = np.empty((3, b, heads, n, d_h), dtype=qkv.dtype)
+        d_qkv[2] = np.matmul(np.swapaxes(attn, -1, -2), d_out)
+        d_attn = np.matmul(d_out, np.swapaxes(v, -1, -2))
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * scale
+        d_qkv[0] = np.matmul(d_scores, k)
+        d_qkv[1] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), d_scores), -1, -2)
+        return d_qkv.transpose(1, 3, 0, 2, 4).reshape(b, n, width)
+
+    return _result(out, ((qkv, grad_fn),))
+
+
 def log_softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -466,17 +513,19 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"do not match feature dim of {a.shape}"
         )
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # sum / n is numpy's mean without its Python wrapper (bit-equal)
+    mu = x.sum(axis=-1, keepdims=True) / n
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
-    n = x.shape[-1]
 
     def grad_x(g):
         gh = g * gamma.data
-        term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+        term = (gh - gh.sum(axis=-1, keepdims=True) / n
+                - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / n))
         return term * inv
 
     def grad_gamma(g):

@@ -74,6 +74,9 @@ class SideTunedModel:
         self.side_hidden = hs
         rng = np.random.default_rng(seed)
         mlp_hidden = int(round(c.mlp_ratio * hs))
+        if mlp_hidden < 1:
+            raise ContractError(
+                f"side MLP width round(mlp_ratio={c.mlp_ratio} * side_hidden={hs}) is 0")
         self.downsamplers = [Linear(rng, c.hidden, hs) for _ in range(c.depth)]
         self.side_blocks = [
             MsaBlock(rng, hs, side_heads(hs, c.heads), mlp_hidden)

@@ -145,22 +145,28 @@ def _fit(stage, config: StageConfig, rng, n_train, batch, params, step_loss,
     Each epoch shuffles the ``n_train`` rows with ``rng``, steps once per
     ``batch`` rows on ``step_loss(rows)`` and then takes ``val_loss()``. The
     state from ``snapshot()`` at the lowest validation loss (first epoch on
-    a tie) is put back with ``restore`` at the end.
+    a tie) is put back with ``restore`` at the end. A floating-point
+    overflow, invalid value or division by zero in an epoch, or a
+    non-finite step loss, raises ``FloatingPointError`` naming the epoch.
     """
     opt = Optimizer(params, config.optimizer)
     record = LossRecord(initial_loss=val_loss())
     best_val, best_state = np.inf, None
     for epoch in range(config.epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, batch):
-            loss = step_loss(order[start:start + batch])
-            if not np.isfinite(loss.item()):
-                raise FloatingPointError(f"{stage} diverged at epoch {epoch}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            record.step_losses.append(loss.item())
-        val = val_loss()
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                order = rng.permutation(n_train)
+                for start in range(0, n_train, batch):
+                    loss = step_loss(order[start:start + batch])
+                    if not np.isfinite(loss.item()):
+                        raise FloatingPointError("non-finite loss")
+                    opt.zero_grad()
+                    loss.backward()
+                    opt.step()
+                    record.step_losses.append(loss.item())
+                val = val_loss()
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{stage} diverged at epoch {epoch}: {exc}") from None
         record.val_losses.append(val)
         if val < best_val:
             best_val, best_state = val, snapshot()

@@ -36,6 +36,10 @@ class ModelConfig:
             raise ContractError(f"hidden={self.hidden} not divisible by heads={self.heads}")
         if self.num_tokens < 2:
             raise ContractError("num_tokens must be >= 2")
+        if not (np.isfinite(self.mlp_ratio) and self.mlp_ratio > 0 and self.mlp_hidden >= 1):
+            raise ContractError(
+                f"mlp_ratio={self.mlp_ratio} must be finite and > 0 with "
+                f"round(mlp_ratio * hidden) >= 1")
 
     @property
     def mlp_hidden(self) -> int:
@@ -73,7 +77,7 @@ class Linear:
         self.bias = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return (x @ self.weight) + self.bias
+        return ad.matmul(x, self.weight, self.bias)
 
     def named_parameters(self, prefix: str) -> dict:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -107,23 +111,7 @@ class MsaBlock:
 
     def attention(self, t: Tensor) -> Tensor:
         """Multi-head self-attention over every token of ``t``."""
-        b, n, h = t.shape
-        k_h, d_h = self.heads, self.head_dim
-        qkv = self.qkv(t)  # (b, n, 3h)
-        qkv = ad.reshape(qkv, (b, n, 3, k_h, d_h))
-        qkv = ad.transpose(qkv, (2, 0, 3, 1, 4))  # (3, b, heads, n, d_h)
-        q = ad.narrow(qkv, 0, 0, 1)
-        k = ad.narrow(qkv, 0, 1, 1)
-        v = ad.narrow(qkv, 0, 2, 1)
-        q = ad.reshape(q, (b, k_h, n, d_h))
-        k = ad.reshape(k, (b, k_h, n, d_h))
-        v = ad.reshape(v, (b, k_h, n, d_h))
-        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d_h))
-        attn = ad.softmax(scores)  # (b, heads, n, n)
-        out = ad.matmul(attn, v)  # (b, heads, n, d_h)
-        out = ad.transpose(out, (0, 2, 1, 3))
-        out = ad.reshape(out, (b, n, h))
-        return self.proj(out)
+        return self.proj(ad.attention(self.qkv(t), self.heads))
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attention(self.ln1(x))

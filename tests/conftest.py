@@ -50,6 +50,17 @@ def relative_error(a, b):
     return float(np.abs(a - b).max() / denom)
 
 
+def count_graph_nodes(out):
+    """Number of recorded ops in the graph behind ``out`` (tensors with parents)."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._parents:
+            seen.add(id(t))
+            stack.extend(parent for parent, _ in t._parents)
+    return len(seen)
+
+
 NEG_MASK_VALUE = -1e9  # finite stand-in for -inf added to attention scores
 
 

@@ -278,6 +278,59 @@ def test_take_gradient_matches_finite_differences():
     np.testing.assert_array_equal(ad.take(Tensor(a), index).data, a[index])
 
 
+def test_matmul_bias_gradient_matches_finite_differences():
+    rng = np.random.default_rng(13)
+    a, w, bias = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)
+    weights = Tensor(rng.standard_normal((2, 3, 5)), dtype=np.float64)
+
+    def build(ts):
+        return ad.tensor_sum(ad.matmul(ts[0], ts[1], ts[2]) * weights)
+
+    for analytic, numeric in zip(backward_gradient(build, [a, w, bias]),
+                                 fd_gradient(build, [a, w, bias])):
+        assert relative_error(analytic, numeric) < 1e-8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_bias_bit_equal_to_matmul_then_add(dtype):
+    rng = np.random.default_rng(14)
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((2, 3, 4), (4, 5), (5,))]
+    weights = Tensor(rng.standard_normal((2, 3, 5)).astype(dtype))
+    results = []
+    for fused in (True, False):
+        a, w, bias = (Tensor(v, requires_grad=True) for v in arrays)
+        out = ad.matmul(a, w, bias) if fused else ad.matmul(a, w) + bias
+        ad.tensor_sum(out * weights).backward()
+        results.append([out.data, a.grad, w.grad, bias.grad])
+    for fused, composed in zip(*results):
+        assert fused.dtype == composed.dtype == dtype
+        np.testing.assert_array_equal(fused, composed)
+
+
+def test_matmul_rejects_bias_that_does_not_broadcast():
+    with pytest.raises(DimensionError, match=r"matmul: bias shape \(4,\)"):
+        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
+
+
+def test_attention_gradient_matches_finite_differences():
+    rng = np.random.default_rng(15)
+    qkv = rng.standard_normal((2, 3, 12))  # 2 heads of width 2
+    weights = Tensor(rng.standard_normal((2, 3, 4)), dtype=np.float64)
+
+    def build(ts):
+        return ad.tensor_sum(ad.attention(ts[0], 2) * weights)
+
+    analytic = backward_gradient(build, [qkv])[0]
+    assert relative_error(analytic, fd_gradient(build, [qkv])[0]) < 1e-8
+
+
+@pytest.mark.parametrize("shape, heads", [((3, 12), 2), ((2, 3, 10), 2), ((2, 3, 12), 5),
+                                          ((2, 3, 12), 0)])
+def test_attention_rejects_bad_qkv_shape(shape, heads):
+    with pytest.raises(DimensionError, match="attention: qkv shape"):
+        ad.attention(Tensor(np.ones(shape)), heads)
+
+
 def test_float32_gelu_matches_erf_gelu():
     x = np.concatenate([np.linspace(-10, 10, 40001), [-1e4, 1e4]]).astype(np.float32)
     t = Tensor(x, requires_grad=True)

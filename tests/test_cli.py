@@ -141,6 +141,7 @@ def pipeline_artifacts(tmp_path_factory):
         "classifier": str(root / "classifier.ckpt"),
         "surrogate": str(root / "surrogate.ckpt"),
         "explainer": str(root / "explainer.ckpt"),
+        "narrow_mlp_classifier": str(root / "narrow_mlp_classifier.ckpt"),
     }
     assert main(["gen-data", "--out", paths["data"], *TINY]) == EXIT_OK
     assert main(["train-classifier", "--data", paths["data"],
@@ -154,6 +155,10 @@ def pipeline_artifacts(tmp_path_factory):
                  "--surrogate", paths["surrogate"],
                  "--out", paths["explainer"],
                  "--set", "side.reduction=2", *FAST_TRAIN]) == EXIT_OK
+    # its MLP is 2 wide; a side branch at reduction 8 would get width 0
+    assert main(["train-classifier", "--data", paths["data"],
+                 "--out", paths["narrow_mlp_classifier"], *FAST_MODEL, *FAST_TRAIN,
+                 "--set", "model.mlp_ratio=0.1"]) == EXIT_OK
     return paths
 
 
@@ -378,10 +383,8 @@ def _boundary_inputs(command, artifacts):
 
 BOUNDARY_CASES = [
     # (command, flags, exit code, stderr prefix, text the message names)
-    pytest.param("train-classifier", ["--set", "train.step_size=1e30"],
-                 EXIT_CHECK_FAILED, "training diverged:", "diverged",
-                 # overflow on the way to the non-finite loss is expected
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ("train-classifier", ["--set", "train.step_size=1e30"],
+     EXIT_CHECK_FAILED, "training diverged:", "diverged"),
     ("train-classifier", ["--set", "train.step_size=nan"],
      EXIT_CHECK_FAILED, "contract violation:", "step_size"),
     ("train-classifier", ["--set", "train.step_size=inf"],
@@ -394,6 +397,19 @@ BOUNDARY_CASES = [
      EXIT_CHECK_FAILED, "contract violation:", "heads"),
     ("train-classifier", ["--set", "model.depth=0"],
      EXIT_CHECK_FAILED, "contract violation:", "depth"),
+    ("train-classifier", ["--set", "model.mlp_ratio=0"],
+     EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
+    ("train-classifier", ["--set", "model.mlp_ratio=0.01"],
+     EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
+    ("train-classifier", ["--set", "model.mlp_ratio=-1"],
+     EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
+    ("train-classifier", ["--set", "model.mlp_ratio=nan"],
+     EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
+    ("train-classifier", ["--set", "model.mlp_ratio=inf"],
+     EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
+    ("train-surrogate", ["--classifier", "{narrow_mlp_classifier}",
+                         "--set", "side.reduction=8"],
+     EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
     ("train-surrogate", ["--set", "train.inputs_per_batch=0"],
      EXIT_CHECK_FAILED, "contract violation:", "inputs_per_batch"),
     ("train-surrogate", ["--set", "train.masks_per_input=0"],
@@ -431,9 +447,11 @@ def _case_id(case):
 def test_out_of_range_value_fails_early(pipeline_artifacts, capsys, tmp_path, monkeypatch,
                                         command, flags, code, prefix, names):
     monkeypatch.setenv("SIDESHAP_OUTDIR", str(tmp_path))
+    flags = [f.format(**pipeline_artifacts) for f in flags]
     got, out, err = run(capsys, command, *_boundary_inputs(command, pipeline_artifacts),
                         *flags)
     assert got == code
     assert err.startswith(prefix) and names in err
+    assert len(err.splitlines()) == 1
     assert out == ""
     assert list(tmp_path.iterdir()) == []

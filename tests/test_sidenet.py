@@ -272,6 +272,43 @@ def test_count_side_params_matches_live_models():
     assert live_exp == count_side_params(TOY, explainer.side_config)
 
 
+def test_counted_matmul_macs_equal_analytic(monkeypatch):
+    """Every product goes through ``autodiff.matmul``, counted as the traced
+    benchmark run counts it (output size times contracted length): a batch-1
+    classifier forward and one pass of each branch match the analytic MACs."""
+    import sys
+
+    from sideshap.evaluation import classifier_macs, side_branch_macs
+
+    original, counted = ad.matmul, [0]
+
+    def counting(a, b, *args, **kwargs):
+        out = original(a, b, *args, **kwargs)
+        counted[0] += out.data.size * a.shape[-1]
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "sideshap":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+
+    def macs(run):
+        counted[0] = 0
+        run()
+        return counted[0]
+
+    backbone, surrogate = build_pair()
+    explainer = make_explainer_from_surrogate(surrogate, seed=1)
+    x1 = np.random.default_rng(0).standard_normal((1, 8, 5)).astype(np.float32)
+    assert macs(lambda: backbone.forward(x1)) == classifier_macs(TOY)
+    states = backbone.block_states(x1, None)
+    assert (macs(lambda: surrogate.surrogate_logits(x1, None, backbone_states=states))
+            == side_branch_macs(TOY, surrogate.side_config))
+    assert (macs(lambda: explainer.explainer_raw(x1, backbone_states=states))
+            == side_branch_macs(TOY, explainer.side_config))
+
+
 def test_reference_architecture_side_counts():
     base = PRESETS["vit-base"]
     sur = count_side_params(base, SideConfig(reduction=8, role=ROLE_SURROGATE))

@@ -10,12 +10,15 @@ from sideshap.transformer import (
     PRESETS,
     MaskedTransformer,
     ModelConfig,
+    MsaBlock,
     block_param_count,
     count_params,
 )
 
 from conftest import (
     NEG_MASK_VALUE,
+    count_graph_nodes,
+    key_bias_block,
     key_bias_logits,
     mask_key_bias,
     mixed_masks,
@@ -92,6 +95,41 @@ def test_compacted_forward_gradients_match_key_bias():
         grads.append({k: p.grad for k, p in model.named_parameters().items()})
     for k in grads[1]:
         assert relative_error(grads[0][k], grads[1][k]) <= 1e-5, k
+
+
+def _block(dtype):
+    rng = np.random.default_rng(6)
+    block = MsaBlock(rng, 12, 3, 20)
+    for p in block.named_parameters("b").values():
+        p.data = (p.data + 0.1 * rng.standard_normal(p.shape)).astype(dtype)
+    return block, rng.standard_normal((3, 5, 12)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_block_bit_equal_to_composed_ops(dtype):
+    """The fused block and the composed ops (key bias zero) agree bit for bit:
+    the output, the input gradient and all 12 parameter gradients."""
+    block, x_data = _block(dtype)
+    params = block.named_parameters("b")
+    zeros = np.zeros((3, 1, 1, 5), dtype=dtype)
+    results = []
+    for run in (block, lambda x: key_bias_block(block, x, zeros)):
+        for p in params.values():
+            p.grad = None
+        x = Tensor(x_data, requires_grad=True)
+        y = run(x)
+        ad.tensor_sum(ad.square(y)).backward()
+        results.append([y.data, x.grad] + [p.grad for p in params.values()])
+    assert len(results[0]) == 14
+    for fused, composed in zip(*results):
+        assert fused.dtype == composed.dtype == dtype
+        np.testing.assert_array_equal(fused, composed)
+
+
+def test_block_records_ten_graph_nodes():
+    block, x_data = _block(np.float32)
+    # ln1, qkv, attention, proj, residual, ln2, fc1, gelu, fc2, residual
+    assert count_graph_nodes(block(Tensor(x_data, requires_grad=True))) == 10
 
 
 def test_single_mask_row_broadcasts_over_batch(toy_model):
