@@ -131,9 +131,8 @@ def classifier_macs(config: ModelConfig) -> int:
 def side_branch_macs(config: ModelConfig, side: SideConfig) -> int:
     t = config.num_tokens + 1
     hs = side.side_hidden(config.hidden)
-    mlp_hidden = int(round(config.mlp_ratio * hs))
     total = config.depth * t * config.hidden * hs  # downsampling taps
-    total += config.depth * _block_macs(t, hs, mlp_hidden)
+    total += config.depth * _block_macs(t, hs, side.side_mlp_hidden(config))
     if side.role == ROLE_SURROGATE:
         total += hs * config.num_classes
     else:
@@ -185,9 +184,9 @@ def analytic_memory_report(config: ModelConfig, side: SideConfig) -> dict:
         per_block = t * h * 6 + t * t * config.heads + t * mlp_h
         return depth * per_block + t * h
 
-    hs = side.side_hidden(config.hidden)
     full_acts = acts(config.hidden, config.mlp_hidden, config.depth)
-    side_acts = acts(hs, int(round(config.mlp_ratio * hs)), config.depth)
+    side_acts = acts(side.side_hidden(config.hidden), side.side_mlp_hidden(config),
+                     config.depth)
     f32 = 4
     return {
         "side_tuning": f32 * (backbone + 4 * branch + full_acts + side_acts),

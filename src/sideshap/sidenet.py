@@ -52,6 +52,15 @@ class SideConfig:
                 f"hidden={hidden} not divisible by reduction={self.reduction}")
         return hidden // self.reduction
 
+    def side_mlp_hidden(self, config: ModelConfig) -> int:
+        """MLP width of the side blocks, round(mlp_ratio * side_hidden); 0 is refused."""
+        hs = self.side_hidden(config.hidden)
+        width = int(round(config.mlp_ratio * hs))
+        if width < 1:
+            raise ContractError(
+                f"side MLP width round(mlp_ratio={config.mlp_ratio} * side_hidden={hs}) is 0")
+        return width
+
     def to_dict(self):
         return {"reduction": self.reduction, "role": self.role,
                 "explainer_head_depth": self.explainer_head_depth}
@@ -60,6 +69,22 @@ class SideConfig:
 def side_heads(hidden_side: int, backbone_heads: int) -> int:
     # keep the backbone head count when it divides the side width
     return backbone_heads if hidden_side % backbone_heads == 0 else 1
+
+
+def token_head(rng, width: int, depth: int, num_classes: int) -> list:
+    """Per-token explanation head: ``depth`` width->width layers, then width->classes."""
+    return [Linear(rng, width, width) for _ in range(depth)] + [Linear(rng, width, num_classes)]
+
+
+def apply_token_head(layers, seq: Tensor) -> Tensor:
+    """A ``token_head`` on each patch token of ``seq``, GELU after each hidden layer.
+
+    Every token after the class token emits its own row: (batch, d, num_classes).
+    """
+    h = ad.narrow(seq, 1, 1, seq.shape[1] - 1)
+    for layer in layers[:-1]:
+        h = ad.gelu(layer(h))
+    return layers[-1](h)
 
 
 class SideTunedModel:
@@ -73,10 +98,7 @@ class SideTunedModel:
         hs = side.side_hidden(c.hidden)
         self.side_hidden = hs
         rng = np.random.default_rng(seed)
-        mlp_hidden = int(round(c.mlp_ratio * hs))
-        if mlp_hidden < 1:
-            raise ContractError(
-                f"side MLP width round(mlp_ratio={c.mlp_ratio} * side_hidden={hs}) is 0")
+        mlp_hidden = side.side_mlp_hidden(c)
         self.downsamplers = [Linear(rng, c.hidden, hs) for _ in range(c.depth)]
         self.side_blocks = [
             MsaBlock(rng, hs, side_heads(hs, c.heads), mlp_hidden)
@@ -86,10 +108,7 @@ class SideTunedModel:
         if side.role == ROLE_SURROGATE:
             self.head_layers = [Linear(rng, hs, c.num_classes)]
         else:
-            # applied per patch token: each token emits its own class row
-            self.head_layers = [
-                Linear(rng, hs, hs) for _ in range(side.explainer_head_depth)
-            ] + [Linear(rng, hs, c.num_classes)]
+            self.head_layers = token_head(rng, hs, side.explainer_head_depth, c.num_classes)
 
     # ------------------------------------------------------------------
     def _side_pass(self, states):
@@ -133,12 +152,7 @@ class SideTunedModel:
             raise ContractError("explainer_raw called on a non-explainer branch")
         if backbone_states is None:
             backbone_states = self.backbone.block_states(tokens, None)
-        c = self.backbone.config
-        seq = self._side_pass(backbone_states)
-        h = ad.narrow(seq, 1, 1, c.num_tokens)  # per-patch features
-        for layer in self.head_layers[:-1]:
-            h = ad.gelu(layer(h))
-        return self.head_layers[-1](h)  # (batch, d, num_classes)
+        return apply_token_head(self.head_layers, self._side_pass(backbone_states))
 
     # ------------------------------------------------------------------
     def named_side_parameters(self):
@@ -193,9 +207,7 @@ class CombinedModel:
         if explainer.side_config.role != ROLE_EXPLAINER:
             raise ContractError("explainer slot holds a non-explainer branch")
         if surrogate.backbone is not classifier or explainer.backbone is not classifier:
-            # re-bind branches onto the classifier backbone
-            surrogate.backbone = classifier
-            explainer.backbone = classifier
+            raise ContractError("both branches must be built on the classifier object itself")
         self.classifier = classifier
         self.surrogate = surrogate
         self.explainer = explainer
@@ -251,9 +263,8 @@ class CombinedModel:
 def count_side_params(config: ModelConfig, side: SideConfig) -> int:
     """Trainable parameters of one side branch (downsamplers + blocks + head)."""
     hs = side.side_hidden(config.hidden)
-    mlp_hidden = int(round(config.mlp_ratio * hs))
     total = config.depth * (config.hidden * hs + hs)  # downsamplers
-    total += config.depth * block_param_count(hs, mlp_hidden)
+    total += config.depth * block_param_count(hs, side.side_mlp_hidden(config))
     total += 2 * hs  # side norm
     if side.role == ROLE_SURROGATE:
         total += hs * config.num_classes + config.num_classes

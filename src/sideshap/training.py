@@ -4,6 +4,11 @@ Stage 1 trains the masked-transformer classifier. Stage 2 side-tunes a
 surrogate to mimic the classifier's full-input predictions on masked inputs.
 Stage 3 side-tunes an explainer against the Shapley regression objective with
 paired kernel sampling and in-graph additive efficient normalization.
+
+All five trainers run on one epoch loop, ``_fit``, and so honour
+``step_decay``. Froyo and duo take no validation pass: their ``val_losses``
+are each epoch's last step loss, ``initial_loss`` is NaN, ``final_loss`` is
+the last epoch's loss and no best state is restored.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from .shapley import (
 from .sidenet import (
     SideConfig,
     SideTunedModel,
+    apply_token_head,
     make_explainer_from_surrogate,
+    token_head,
 )
 from .transformer import (
-    Linear,
     MaskedTransformer,
     ModelConfig,
     named_layer_parameters,
@@ -135,22 +141,26 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the epoch loop shared by the three stages
+# the epoch loop shared by every trainer
 
 
 def _fit(stage, config: StageConfig, rng, n_train, batch, params, step_loss,
-         val_loss, snapshot, restore) -> LossRecord:
+         val_loss=None, snapshot=None, restore=None) -> LossRecord:
     """Train ``params`` by ``step_loss`` and keep the best-validation state.
 
     Each epoch shuffles the ``n_train`` rows with ``rng``, steps once per
-    ``batch`` rows on ``step_loss(rows)`` and then takes ``val_loss()``. The
-    state from ``snapshot()`` at the lowest validation loss (first epoch on
-    a tie) is put back with ``restore`` at the end. A floating-point
-    overflow, invalid value or division by zero in an epoch, or a
-    non-finite step loss, raises ``FloatingPointError`` naming the epoch.
+    ``batch`` rows on ``step_loss(rows)`` and then takes ``val_loss()``.
+    ``step_loss`` returns the loss tensor, which is back-propagated here, or
+    a float once it has set every parameter's ``.grad`` itself. The state
+    from ``snapshot()`` at the lowest validation loss (first epoch on a tie)
+    is put back with ``restore`` at the end. Without ``val_loss`` an epoch's
+    validation loss is its last step loss, no state is put back, and the
+    final loss is the last epoch's. A floating-point overflow, invalid value
+    or division by zero in an epoch, or a non-finite step loss, raises
+    ``FloatingPointError`` naming the epoch.
     """
     opt = Optimizer(params, config.optimizer)
-    record = LossRecord(initial_loss=val_loss())
+    record = LossRecord(initial_loss=val_loss() if val_loss else float("nan"))
     best_val, best_state = np.inf, None
     for epoch in range(config.epochs):
         try:
@@ -158,22 +168,26 @@ def _fit(stage, config: StageConfig, rng, n_train, batch, params, step_loss,
                 order = rng.permutation(n_train)
                 for start in range(0, n_train, batch):
                     loss = step_loss(order[start:start + batch])
-                    if not np.isfinite(loss.item()):
+                    value = loss.item() if isinstance(loss, Tensor) else loss
+                    if not np.isfinite(value):
                         raise FloatingPointError("non-finite loss")
-                    opt.zero_grad()
-                    loss.backward()
+                    if isinstance(loss, Tensor):
+                        opt.zero_grad()
+                        loss.backward()
                     opt.step()
-                    record.step_losses.append(loss.item())
-                val = val_loss()
+                    record.step_losses.append(value)
+                val = val_loss() if val_loss else value
         except FloatingPointError as exc:
             raise FloatingPointError(f"{stage} diverged at epoch {epoch}: {exc}") from None
         record.val_losses.append(val)
         if val < best_val:
-            best_val, best_state = val, snapshot()
+            best_val = val
+            best_state = snapshot() if snapshot else None
             record.best_epoch = epoch
         opt.scale_step(config.step_decay)
-    restore(best_state)
-    record.final_loss = best_val
+    if restore:
+        restore(best_state)
+    record.final_loss = best_val if val_loss else val
     return record
 
 
@@ -425,11 +439,9 @@ class HeadExplainerModel:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.net = MaskedTransformer(config, seed=seed)
-        rng = np.random.default_rng(seed + 17)
-        h = config.hidden
-        # as deep as the side explainer's head (SideConfig.explainer_head_depth)
-        self.expl_head = [Linear(rng, h, h) for _ in range(3)]
-        self.expl_head.append(Linear(rng, h, config.num_classes))
+        # as deep as the side explainer's default head
+        self.expl_head = token_head(np.random.default_rng(seed + 17), config.hidden,
+                                    SideConfig.explainer_head_depth, config.num_classes)
 
     @property
     def config(self):
@@ -438,12 +450,8 @@ class HeadExplainerModel:
     def forward_both(self, tokens: np.ndarray):
         states = self.net.block_states(tokens, None)
         logits = self.net.logits_from_state(states[-1])
-        seq = self.net.final_norm(states[-1])
-        h = ad.narrow(seq, 1, 1, self.config.num_tokens)  # per-patch features
-        for layer in self.expl_head[:-1]:
-            h = ad.gelu(layer(h))
-        raw = self.expl_head[-1](h)  # (batch, d, num_classes)
-        return logits, raw
+        raw = apply_token_head(self.expl_head, self.net.final_norm(states[-1]))
+        return logits, raw  # raw: (batch, d, num_classes)
 
     def encoder_parameters(self):
         named = self.net.named_parameters()
@@ -462,13 +470,19 @@ class HeadExplainerModel:
         return state_snapshot(self.named_parameters())
 
 
-def _head_explainer_loss(model: HeadExplainerModel, value_model: MaskedTransformer,
-                         xb, yb, masks_per_input, masks, label_mode):
-    """Shapley regression loss with the frozen masked classifier as value function."""
+def _head_explainer_loss(model: HeadExplainerModel, classifier: MaskedTransformer,
+                         xb, yb, config: StageConfig, dist, rng):
+    """Shapley regression loss on fresh paired kernel draws from ``dist``.
+
+    The value function is ``classifier``, which no head pipeline moves, so
+    the targets do not drift as a trained encoder moves.
+    """
+    m = config.masks_per_input
+    masks = sample_subsets(dist, len(xb) * m, True, rng)
     with ad.no_grad():
-        v1 = _softmax_np(value_model.forward(xb).numpy())
+        v1 = _softmax_np(classifier.forward(xb).numpy())
     targets, diffs, weights = _regression_targets(
-        value_model.forward, v1, xb, yb, masks, masks_per_input, label_mode)
+        classifier.forward, v1, xb, yb, masks, m, config.label_mode)
     _, raw = model.forward_both(xb)
     return _shapley_regression_loss(raw, masks, targets, diffs, weights)
 
@@ -480,29 +494,17 @@ def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     model.net.load_state(classifier.state_dict())
     model.net.set_trainable(False)
     frozen_before = state_digest(model.net.state_dict())
-
     rng = np.random.default_rng(config.seed)
-    opt = Optimizer(list(model.expl_head_parameters().values()), config.optimizer)
-    record = LossRecord()
     dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(x_train))
-        for start in range(0, len(order), config.inputs_per_batch):
-            idx = order[start:start + config.inputs_per_batch]
-            masks = sample_subsets(dist, len(idx) * config.masks_per_input, True, rng)
-            loss = _head_explainer_loss(model, classifier, x_train[idx], y_train[idx],
-                                        config.masks_per_input, masks, config.label_mode)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            record.step_losses.append(loss.item())
-        record.val_losses.append(record.step_losses[-1])
+    def step_loss(idx):
+        return _head_explainer_loss(model, classifier, x_train[idx], y_train[idx],
+                                    config, dist, rng)
 
+    record = _fit("froyo", config, rng, len(x_train), config.inputs_per_batch,
+                  list(model.expl_head_parameters().values()), step_loss)
     _check_frozen(model.net, frozen_before, "froyo")
-    record.best_epoch = int(np.argmin(record.val_losses))
-    record.final_loss = record.step_losses[-1]
     return model, record
 
 
@@ -519,54 +521,37 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
               config: StageConfig):
     """Jointly train encoder plus both heads; record per-step gradient cosine.
 
-    The value function for the explanation loss is a frozen copy of the
-    original classifier, so targets do not drift as the encoder moves.
+    Each step takes the classification and the explanation gradient apart,
+    records the cosine of their encoder parts and steps on their sum. The
+    trained encoder is a copy; ``classifier`` stays the value function.
     """
     from .evaluation import gradient_conflict
 
     model = HeadExplainerModel(classifier.config, seed=config.seed)
     model.net.load_state(classifier.state_dict())
-    value_model = MaskedTransformer(classifier.config, seed=config.seed)
-    value_model.load_state(classifier.state_dict())
-    value_model.set_trainable(False)
-
     rng = np.random.default_rng(config.seed)
     all_params = list(model.named_parameters().values())
     encoder_params = list(model.encoder_parameters().values())
-    opt = Optimizer(all_params, config.optimizer)
-    record = LossRecord()
     conflict_trace = []
     dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(x_train))
-        for start in range(0, len(order), config.inputs_per_batch):
-            idx = order[start:start + config.inputs_per_batch]
-            xb, yb = x_train[idx], y_train[idx]
+    def step_loss(idx):
+        xb, yb = x_train[idx], y_train[idx]
+        cls_loss = _mse_class_loss(model.net.forward(xb), yb, dataset.num_classes)
+        g_cls = _gradients(cls_loss, all_params)
+        expl_loss = _head_explainer_loss(model, classifier, xb, yb, config, dist, rng)
+        g_expl = _gradients(expl_loss, all_params)
+        g1 = np.concatenate([g_cls[id(p)].ravel() for p in encoder_params])
+        g2 = np.concatenate([g_expl[id(p)].ravel() for p in encoder_params])
+        if np.linalg.norm(g1) > 0 and np.linalg.norm(g2) > 0:
+            conflict_trace.append(gradient_conflict(g1, g2))
+        for p in all_params:
+            p.grad = g_cls[id(p)] + g_expl[id(p)]
+        return cls_loss.item() + expl_loss.item()
 
-            logits, _ = model.forward_both(xb)
-            cls_loss = _mse_class_loss(logits, yb, dataset.num_classes)
-            g_cls = _gradients(cls_loss, all_params)
-
-            masks = sample_subsets(dist, len(idx) * config.masks_per_input, True, rng)
-            expl_loss = _head_explainer_loss(model, value_model, xb, yb,
-                                             config.masks_per_input, masks, config.label_mode)
-            g_expl = _gradients(expl_loss, all_params)
-
-            g1 = np.concatenate([g_cls[id(p)].ravel() for p in encoder_params])
-            g2 = np.concatenate([g_expl[id(p)].ravel() for p in encoder_params])
-            if np.linalg.norm(g1) > 0 and np.linalg.norm(g2) > 0:
-                conflict_trace.append(gradient_conflict(g1, g2))
-
-            for p in all_params:
-                p.grad = g_cls[id(p)] + g_expl[id(p)]
-            opt.step()
-            record.step_losses.append(cls_loss.item() + expl_loss.item())
-        record.val_losses.append(record.step_losses[-1])
-
-    record.best_epoch = int(np.argmin(record.val_losses))
-    record.final_loss = record.step_losses[-1]
+    record = _fit("duo", config, rng, len(x_train), config.inputs_per_batch,
+                  all_params, step_loss)
     record.extra["gradient_conflict_trace"] = [float(c) for c in conflict_trace]
     return model, record
 

@@ -480,7 +480,7 @@ def test_16_pipeline_comparison(report, planted12):
                               planted12["sur"], planted12["combined"])
     froyo, _ = train_froyo(clf, ds, StageConfig(
         epochs=40, masks_per_input=16, inputs_per_batch=56,
-        seed=4, step_decay=0.99, optimizer=_adam(3e-3)))
+        seed=4, optimizer=_adam(3e-3)))
     x_all = ds.tokens[np.random.default_rng(0).permutation(len(ds.tokens))[:200]]
     logits, phi, _ = combined.explain(x_all)
     pred = np.argmax(logits, axis=1)

@@ -375,6 +375,8 @@ def _boundary_inputs(command, artifacts):
         "train-classifier": [*data, *FAST_MODEL, *FAST_TRAIN],
         "train-surrogate": [*data, "--classifier", artifacts["classifier"],
                             "--set", "side.reduction=2", *FAST_TRAIN],
+        "train-froyo": [*data, "--classifier", artifacts["classifier"], *FAST_TRAIN],
+        "train-duo": [*data, "--classifier", artifacts["classifier"], *FAST_TRAIN],
         "evaluate": [*data, "--classifier", artifacts["classifier"],
                      "--surrogate", artifacts["surrogate"],
                      "--explainer", artifacts["explainer"], "--samples", "2"],
@@ -407,6 +409,10 @@ BOUNDARY_CASES = [
      EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
     ("train-classifier", ["--set", "model.mlp_ratio=inf"],
      EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
+    ("train-froyo", ["--set", "train.step_size=1e30"],
+     EXIT_CHECK_FAILED, "training diverged:", "froyo diverged at epoch 0"),
+    ("train-duo", ["--set", "train.step_size=1e30"],
+     EXIT_CHECK_FAILED, "training diverged:", "duo diverged at epoch 0"),
     ("train-surrogate", ["--classifier", "{narrow_mlp_classifier}",
                          "--set", "side.reduction=8"],
      EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),

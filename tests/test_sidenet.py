@@ -167,6 +167,15 @@ def test_combined_explain_efficiency_residual():
     np.testing.assert_allclose(phi.sum(axis=1), v1 - v0, atol=1e-5)
 
 
+def test_combined_refuses_branches_on_another_classifier():
+    backbone, sur = build_pair(seed=9)
+    explainer = make_explainer_from_surrogate(sur, seed=10)
+    twin = MaskedTransformer(TOY, seed=9)  # same shape and weights, another object
+    with pytest.raises(ContractError, match="classifier"):
+        CombinedModel(twin, sur, explainer)
+    assert sur.backbone is backbone and explainer.backbone is backbone
+
+
 def build_combined(seed):
     backbone, sur = build_pair(seed=seed)
     return CombinedModel(backbone, sur, make_explainer_from_surrogate(sur, seed=seed + 1))
@@ -270,6 +279,23 @@ def test_count_side_params_matches_live_models():
     live_exp = sum(p.data.size for p in explainer.side_parameters())
     assert live_sur == count_side_params(TOY, sur.side_config)
     assert live_exp == count_side_params(TOY, explainer.side_config)
+
+
+@pytest.mark.parametrize("role", [ROLE_SURROGATE, ROLE_EXPLAINER])
+def test_zero_side_mlp_width_is_refused_everywhere(role):
+    """The analytic counts refuse the branch that SideTunedModel refuses to build."""
+    from sideshap.evaluation import analytic_memory_report, side_branch_macs
+
+    config = ModelConfig(depth=2, hidden=32, heads=4, num_tokens=8,
+                         token_input_dim=5, num_classes=3, mlp_ratio=0.1)
+    side = SideConfig(reduction=8, role=role)
+    for build in (lambda: SideTunedModel(MaskedTransformer(config), side),
+                  lambda: count_side_params(config, side),
+                  lambda: side_branch_macs(config, side),
+                  lambda: analytic_memory_report(config, side)):
+        with pytest.raises(ContractError, match="mlp_ratio"):
+            build()
+    assert SideConfig(reduction=4, role=role).side_mlp_hidden(config) == 1
 
 
 def test_counted_matmul_macs_equal_analytic(monkeypatch):

@@ -285,6 +285,26 @@ def test_duo_trains_jointly_and_records_conflict(trained_pair):
     assert all(-1.0 - 1e-9 <= c <= 1.0 + 1e-9 for c in trace)
 
 
+@pytest.mark.parametrize("trainer", [train_froyo, train_duo])
+def test_head_pipelines_honour_step_decay(trained_pair, trainer):
+    ds, clf, _ = trained_pair
+    states = [trainer(clf, ds, quick_stage(epochs=2, step_decay=decay))[0].state_dict()
+              for decay in (1.0, 0.5)]
+    assert state_digest(states[0]) != state_digest(states[1])
+
+
+@pytest.mark.parametrize("trainer", [train_froyo, train_duo])
+def test_head_pipeline_record_has_no_validation_pass(trained_pair, trainer):
+    """An epoch's validation loss is its last step loss; nothing is restored."""
+    ds, clf, _ = trained_pair
+    _, rec = trainer(clf, ds, quick_stage(epochs=3))
+    steps_per_epoch = len(rec.step_losses) // 3
+    assert rec.val_losses == rec.step_losses[steps_per_epoch - 1::steps_per_epoch]
+    assert np.isnan(rec.initial_loss)
+    assert rec.final_loss == rec.val_losses[-1]
+    assert rec.best_epoch == int(np.argmin(rec.val_losses))
+
+
 def test_head_explainer_model_shapes():
     model = HeadExplainerModel(TINY_MODEL, seed=0)
     x = np.random.default_rng(3).standard_normal((2, 6, 3)).astype(np.float32)
