@@ -20,6 +20,7 @@ identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -95,26 +96,36 @@ def load_checkpoint(path, expected_role: str | None = None) -> CheckpointData:
         off += n
         return out
 
+    def text(n):
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: text field is not UTF-8 ({exc})") from None
+
     (version,) = struct.unpack("<I", take(4))
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     (role_len,) = struct.unpack("<H", take(2))
-    role = take(role_len).decode("utf-8")
+    role = text(role_len)
     if expected_role is not None and role != expected_role:
         raise CheckpointError(
             f"{path}: role mismatch, expected {expected_role!r} got {role!r}")
     (cfg_len,) = struct.unpack("<I", take(4))
-    config = json.loads(take(cfg_len).decode("utf-8"))
+    try:
+        config = json.loads(text(cfg_len))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: config is not JSON ({exc})") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config is not a JSON object")
     (count,) = struct.unpack("<I", take(4))
 
     state = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = text(name_len)
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
         state[name] = arr
     if off != len(body):
         raise CheckpointError(f"{path}: trailing bytes in checkpoint")

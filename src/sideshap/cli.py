@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -192,20 +193,35 @@ def _stage_config(cfg: dict) -> StageConfig:
     )
 
 
+def _config_block(ck, path, name, cls):
+    """``cls`` built from the checkpoint's ``name`` block.
+
+    CheckpointError unless the block holds exactly ``cls``'s fields, each of
+    its field's type (an int passes as a float).
+    """
+    block = ck.config.get(name)
+    types = typing.get_type_hints(cls)
+    if not (isinstance(block, dict) and set(block) == set(types) and all(
+            type(block[k]) is t or (t is float and type(block[k]) is int)
+            for k, t in types.items())):
+        raise CheckpointError(f"{path}: malformed {name!r} block {block!r}")
+    return cls(**block)
+
+
 def _load_classifier(path) -> MaskedTransformer:
     ck = load_checkpoint(path, expected_role="classifier")
-    model = MaskedTransformer(ModelConfig(**ck.config["model"]), seed=0)
+    model = MaskedTransformer(_config_block(ck, path, "model", ModelConfig), seed=0)
     model.load_state(ck.state)
     return model
 
 
 def _load_branch(path, classifier, role) -> SideTunedModel:
     ck = load_checkpoint(path, expected_role=role)
-    if ck.config.get("model") != classifier.config.to_dict():
+    if _config_block(ck, path, "model", ModelConfig) != classifier.config:
         raise ContractError(
-            f"{role} {path} was trained on model {ck.config.get('model')}, "
+            f"{role} {path} was trained on model {ck.config['model']}, "
             f"not on the classifier's {classifier.config.to_dict()}")
-    side = SideConfig(**ck.config["side"])
+    side = _config_block(ck, path, "side", SideConfig)
     branch = SideTunedModel(classifier, side, seed=0)
     branch.load_side_state(ck.state)
     return branch
@@ -290,15 +306,9 @@ def cmd_train_explainer(args):
     return EXIT_OK
 
 
-def cmd_train_froyo(args):
-    return _run_head_pipeline(args, "froyo")
-
-
-def cmd_train_duo(args):
-    return _run_head_pipeline(args, "duo")
-
-
-def _run_head_pipeline(args, pipeline):
+def _run_head_pipeline(args):
+    """``train-froyo`` or ``train-duo``, as ``args.pipeline`` names."""
+    pipeline = args.pipeline
     cfg = effective_config(TRAIN_DEFAULTS, args)
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
@@ -306,7 +316,7 @@ def _run_head_pipeline(args, pipeline):
     model, record = trainer(classifier, ds, _stage_config(cfg))
     path = out_path(args, f"{pipeline}.ckpt")
     _save_trained(path, pipeline, model.state_dict(), record, cfg,
-                  model=model.config.to_dict())
+                  model=classifier.config.to_dict())
     summary = {"path": path, "final_loss": record.final_loss}
     if pipeline == "duo":
         trace = record.extra["gradient_conflict_trace"]
@@ -449,15 +459,12 @@ def build_parser() -> _Parser:
     p.add_argument("--surrogate", required=True)
     p.set_defaults(fn=cmd_train_explainer)
 
-    p = sub.add_parser("train-froyo", help="train only an added explanation head")
-    common(p, data=True)
-    p.add_argument("--classifier", required=True)
-    p.set_defaults(fn=cmd_train_froyo)
-
-    p = sub.add_parser("train-duo", help="jointly train prediction and explanation")
-    common(p, data=True)
-    p.add_argument("--classifier", required=True)
-    p.set_defaults(fn=cmd_train_duo)
+    for pipeline, text in (("froyo", "train only an added explanation head"),
+                           ("duo", "jointly train prediction and explanation")):
+        p = sub.add_parser(f"train-{pipeline}", help=text)
+        common(p, data=True)
+        p.add_argument("--classifier", required=True)
+        p.set_defaults(fn=_run_head_pipeline, pipeline=pipeline)
 
     p = sub.add_parser("explain", help="emit attribution for one sample")
     common(p, data=True)

@@ -17,7 +17,11 @@ import numpy as np
 
 from .autodiff import ContractError
 
-KINDS = ("planted-patch", "linear-logit")
+# the parameters each kind reads
+KIND_PARAMS = {
+    "planted-patch": ("d", "token_dim", "k_signal", "n_samples", "marker", "signal_mean"),
+    "linear-logit": ("d", "token_dim", "num_classes", "n_samples", "logit_scale"),
+}
 
 
 @dataclass
@@ -59,18 +63,23 @@ class SyntheticDataset:
 
     @staticmethod
     def load(path) -> "SyntheticDataset":
+        """The dataset ``save`` wrote to ``path``; an OSError naming ``path`` if it is not one."""
         import json
+        import zipfile
 
-        with np.load(path) as z:
-            meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-            return SyntheticDataset(
-                kind=meta["kind"],
-                tokens=z["tokens"],
-                labels=z["labels"],
-                splits={"train": z["train"], "val": z["val"], "test": z["test"]},
-                seed=meta["seed"],
-                params=meta["params"],
-            )
+        try:
+            with np.load(path) as z:
+                meta = json.loads(bytes(z["meta"]).decode("utf-8"))
+                return SyntheticDataset(
+                    kind=meta["kind"],
+                    tokens=z["tokens"],
+                    labels=z["labels"],
+                    splits={"train": z["train"], "val": z["val"], "test": z["test"]},
+                    seed=meta["seed"],
+                    params=meta["params"],
+                )
+        except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+            raise OSError(f"{path}: not a dataset file ({type(exc).__name__}: {exc})") from None
 
 
 def _meta_bytes(kind, seed, params) -> bytes:
@@ -101,8 +110,11 @@ def _make_splits(n: int, rng: np.random.Generator) -> dict:
 
 def generate_dataset(kind: str, params: dict, seed: int) -> SyntheticDataset:
     """Deterministic synthetic dataset; identical seed reproduces identical bytes."""
-    if kind not in KINDS:
+    if kind not in KIND_PARAMS:
         raise ContractError(f"unknown dataset kind {kind!r}")
+    unread = sorted(set(params) - set(KIND_PARAMS[kind]))
+    if unread:
+        raise ContractError(f"{kind} does not read the parameters {unread}")
     if seed < 0:
         raise ContractError("seed must be >= 0")
     rng = np.random.default_rng(seed)
@@ -119,8 +131,8 @@ def _planted_patch(params: dict, seed: int, rng: np.random.Generator) -> Synthet
     marker = float(params.get("marker", 3.0))
     signal_mean = float(params.get("signal_mean", 1.0))
     _split_sizes(n)
-    if k > d:
-        raise ContractError(f"k_signal={k} exceeds d={d}")
+    if not 1 <= k <= d:
+        raise ContractError(f"k_signal={k} must be in [1, d={d}]")
     if token_dim < 2:
         raise ContractError("planted-patch needs token_dim >= 2")
 

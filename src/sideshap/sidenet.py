@@ -162,9 +162,6 @@ class SideTunedModel:
         out.update(named_layer_parameters("head", self.head_layers))
         return out
 
-    def side_parameters(self):
-        return list(self.named_side_parameters().values())
-
     def side_state_dict(self):
         return state_snapshot(self.named_side_parameters())
 

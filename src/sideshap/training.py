@@ -36,6 +36,7 @@ from .sidenet import (
 from .transformer import (
     MaskedTransformer,
     ModelConfig,
+    load_named_state,
     named_layer_parameters,
     state_snapshot,
 )
@@ -62,6 +63,8 @@ class StageConfig:
             raise ContractError("seed must be >= 0")
         if self.mask_bank < 0 or self.mask_bank % 2 != 0:
             raise ContractError("mask_bank must be a non-negative even number")
+        if not (np.isfinite(self.step_decay) and self.step_decay > 0):
+            raise ContractError(f"step_decay must be finite and > 0, not {self.step_decay}")
         if self.label_mode not in ("weighted", "label"):
             raise ContractError(f"label_mode must be 'weighted' or 'label', not {self.label_mode!r}")
 
@@ -144,22 +147,22 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 # the epoch loop shared by every trainer
 
 
-def _fit(stage, config: StageConfig, rng, n_train, batch, params, step_loss,
-         val_loss=None, snapshot=None, restore=None) -> LossRecord:
-    """Train ``params`` by ``step_loss`` and keep the best-validation state.
+def _fit(stage, config: StageConfig, rng, n_train, batch, named, step_loss,
+         val_loss=None) -> LossRecord:
+    """Train the ``named`` parameters by ``step_loss``; keep the best-validation state.
 
     Each epoch shuffles the ``n_train`` rows with ``rng``, steps once per
     ``batch`` rows on ``step_loss(rows)`` and then takes ``val_loss()``.
     ``step_loss`` returns the loss tensor, which is back-propagated here, or
     a float once it has set every parameter's ``.grad`` itself. The state
-    from ``snapshot()`` at the lowest validation loss (first epoch on a tie)
-    is put back with ``restore`` at the end. Without ``val_loss`` an epoch's
+    of ``named`` (name -> parameter) at the lowest validation loss (first
+    epoch on a tie) is put back at the end. Without ``val_loss`` an epoch's
     validation loss is its last step loss, no state is put back, and the
     final loss is the last epoch's. A floating-point overflow, invalid value
     or division by zero in an epoch, or a non-finite step loss, raises
     ``FloatingPointError`` naming the epoch.
     """
-    opt = Optimizer(params, config.optimizer)
+    opt = Optimizer(list(named.values()), config.optimizer)
     record = LossRecord(initial_loss=val_loss() if val_loss else float("nan"))
     best_val, best_state = np.inf, None
     for epoch in range(config.epochs):
@@ -182,11 +185,11 @@ def _fit(stage, config: StageConfig, rng, n_train, batch, params, step_loss,
         record.val_losses.append(val)
         if val < best_val:
             best_val = val
-            best_state = snapshot() if snapshot else None
+            best_state = state_snapshot(named) if val_loss else None
             record.best_epoch = epoch
         opt.scale_step(config.step_decay)
-    if restore:
-        restore(best_state)
+    if val_loss:
+        load_named_state(named, best_state)
     record.final_loss = best_val if val_loss else val
     return record
 
@@ -229,9 +232,8 @@ def train_classifier(dataset: SyntheticDataset, model_config: ModelConfig,
                                model_config.num_classes)
 
     record = _fit("classifier", config, rng, len(x_train), config.batch_size,
-                  model.parameters(), step_loss,
-                  lambda: _classifier_val_loss(model, x_val, y_val),
-                  model.state_dict, model.load_state)
+                  model.named_parameters(), step_loss,
+                  lambda: _classifier_val_loss(model, x_val, y_val))
     record.extra["val_accuracy"] = accuracy(
         _chunked_logits(model.forward, x_val), y_val)
     return model, record
@@ -283,10 +285,9 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
         return _kl_loss_graph(target, model.surrogate_logits(np.repeat(xb, m, axis=0), masks))
 
     record = _fit("surrogate", config, rng, len(x_train), config.inputs_per_batch,
-                  model.side_parameters(), step_loss,
+                  model.named_side_parameters(), step_loss,
                   lambda: kl_divergence(val_p, _chunked_logits(
-                      model.surrogate_logits, val_x, val_masks)),
-                  model.side_state_dict, model.load_side_state)
+                      model.surrogate_logits, val_x, val_masks)))
     _check_frozen(classifier, backbone_before, "surrogate")
     record.extra["backbone_digest"] = backbone_before
     return model, record
@@ -316,26 +317,23 @@ def _shapley_regression_loss(raw: Tensor, masks: np.ndarray, targets: np.ndarray
 
     raw: (n_in, d, C) unconstrained attributions; masks (n_in, m, d); targets
     v(x_s)-v(x_0) per instance (n_in, m, C); diffs v(x_1)-v(x_0) per input
-    (n_in, C); weights per-class weights per input (n_in, C). Masks and
-    targets may also come flat, as (n_in*m, d) and (n_in*m, C).
+    (n_in, C); weights per-class weights per input (n_in, C).
 
     The per-coalition prediction s^T phi(x) is a batched matmul of each
     input's mask block against its normalized attributions.
     """
-    n_in, d = raw.shape[0], raw.shape[1]
+    d = raw.shape[1]
     diff = Tensor(diffs.astype(np.float32)[:, None, :])  # (n, 1, C)
     total = ad.tensor_sum(raw, axis=1, keepdims=True)
     phi = raw + (diff - total) * (1.0 / d)
-    s = Tensor(masks.reshape(n_in, -1, d).astype(np.float32))
-    pred = ad.matmul(s, phi)  # (n, m, C)
-    t = Tensor(targets.reshape(pred.shape).astype(np.float32))
-    err = ad.square(t - pred)
+    pred = ad.matmul(Tensor(masks.astype(np.float32)), phi)  # (n, m, C)
+    err = ad.square(Tensor(targets.astype(np.float32)) - pred)
     w = Tensor(weights.astype(np.float32)[:, None, :])  # (n, 1, C)
     return ad.mean(ad.tensor_sum(w * err, axis=-1))
 
 
-def _regression_targets(logits_fn, v1, x, y, masks, m, label_mode):
-    """Targets v(x_s)-v(x_0) (n*m, C), diffs v(x_1)-v(x_0) (n, C) and class weights.
+def _regression_batch(logits_fn, v1, x, y, masks, m, label_mode):
+    """``_shapley_regression_loss``'s masks, targets, diffs and weights for x under masks.
 
     ``v1`` is v(x_1) from the unmasked pass the caller already makes. Each
     input's m masks are evaluated together with the empty mask in one
@@ -343,39 +341,33 @@ def _regression_targets(logits_fn, v1, x, y, masks, m, label_mode):
     one-hot label (``label_mode == "label"``) or v(x_1).
     """
     n_in, d = len(x), masks.shape[1]
-    stacked = np.concatenate([masks.reshape(n_in, m, d), np.zeros((n_in, 1, d))],
-                             axis=1).reshape(n_in * (m + 1), d)
+    masks = masks.reshape(n_in, m, d)
+    stacked = np.concatenate([masks, np.zeros((n_in, 1, d))], axis=1).reshape(n_in * (m + 1), d)
     logits = _chunked_logits(logits_fn, np.repeat(x, m + 1, axis=0), stacked, chunk=1024)
     vals = _softmax_np(logits).reshape(n_in, m + 1, -1)
     v0 = vals[:, m, :]
-    targets = (vals[:, :m, :] - v0[:, None, :]).reshape(n_in * m, -1)
     weights = np.eye(v1.shape[1], dtype=np.float64)[y] if label_mode == "label" else v1
-    return targets, v1 - v0, weights
+    return masks, vals[:, :m, :] - v0[:, None, :], v1 - v0, weights
 
 
 def _explainer_batch(surrogate: SideTunedModel, x, y, masks, m, label_mode):
-    """The frozen regression inputs for x under masks (n*m, d).
+    """The unmasked backbone states (numpy) of x, then its ``_regression_batch``.
 
-    Returns the unmasked backbone states (numpy), masks (n, m, d), targets
-    (n, m, C), v(x_1)-v(x_0) (n, C) and the class weights (n, C). The
-    surrogate and the backbone are frozen, so no graph is recorded.
+    The surrogate and the backbone are frozen, so no graph is recorded.
     """
     with ad.no_grad():
         states = surrogate.backbone.block_states(x, None)
         v1 = _softmax_np(
             surrogate.surrogate_logits(x, None, backbone_states=states).numpy())
-    targets, diffs, weights = _regression_targets(
-        surrogate.surrogate_logits, v1, x, y, masks, m, label_mode)
-    return ([s.numpy() for s in states], masks.reshape(len(x), m, -1),
-            targets.reshape(len(x), m, -1), diffs, weights)
+    return ([s.numpy() for s in states],
+            *_regression_batch(surrogate.surrogate_logits, v1, x, y, masks, m, label_mode))
 
 
 def _explainer_loss(explainer: SideTunedModel, x, batch, rows) -> Tensor:
     """Shapley regression loss of the explainer on ``rows`` of an ``_explainer_batch``."""
-    states, masks, targets, diffs, weights = batch
+    states, *regression = batch
     raw = explainer.explainer_raw(x[rows], backbone_states=[Tensor(s[rows]) for s in states])
-    return _shapley_regression_loss(raw, masks[rows], targets[rows], diffs[rows],
-                                    weights[rows])
+    return _shapley_regression_loss(raw, *(a[rows] for a in regression))
 
 
 def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
@@ -421,8 +413,7 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
         return _explainer_loss(explainer, xb, batch, slice(None))
 
     record = _fit("explainer", config, rng, len(x_train), config.inputs_per_batch,
-                  explainer.side_parameters(), step_loss, val_loss,
-                  explainer.side_state_dict, explainer.load_side_state)
+                  explainer.named_side_parameters(), step_loss, val_loss)
     _check_frozen(surrogate.backbone, backbone_before, "explainer")
     return explainer, record
 
@@ -442,10 +433,6 @@ class HeadExplainerModel:
         # as deep as the side explainer's default head
         self.expl_head = token_head(np.random.default_rng(seed + 17), config.hidden,
                                     SideConfig.explainer_head_depth, config.num_classes)
-
-    @property
-    def config(self):
-        return self.net.config
 
     def forward_both(self, tokens: np.ndarray):
         states = self.net.block_states(tokens, None)
@@ -470,21 +457,18 @@ class HeadExplainerModel:
         return state_snapshot(self.named_parameters())
 
 
-def _head_explainer_loss(model: HeadExplainerModel, classifier: MaskedTransformer,
-                         xb, yb, config: StageConfig, dist, rng):
-    """Shapley regression loss on fresh paired kernel draws from ``dist``.
+def _head_explainer_loss(raw: Tensor, v1, classifier: MaskedTransformer, xb, yb,
+                         config: StageConfig, dist, rng) -> Tensor:
+    """Shapley regression loss of ``raw`` on fresh paired kernel draws from ``dist``.
 
+    ``v1`` is v(x_1), which the caller reads from a pass it already makes.
     The value function is ``classifier``, which no head pipeline moves, so
     the targets do not drift as a trained encoder moves.
     """
     m = config.masks_per_input
     masks = sample_subsets(dist, len(xb) * m, True, rng)
-    with ad.no_grad():
-        v1 = _softmax_np(classifier.forward(xb).numpy())
-    targets, diffs, weights = _regression_targets(
-        classifier.forward, v1, xb, yb, masks, m, config.label_mode)
-    _, raw = model.forward_both(xb)
-    return _shapley_regression_loss(raw, masks, targets, diffs, weights)
+    return _shapley_regression_loss(raw, *_regression_batch(
+        classifier.forward, v1, xb, yb, masks, m, config.label_mode))
 
 
 def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
@@ -499,11 +483,13 @@ def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     x_train, y_train = dataset.split("train")
 
     def step_loss(idx):
-        return _head_explainer_loss(model, classifier, x_train[idx], y_train[idx],
-                                    config, dist, rng)
+        xb = x_train[idx]
+        logits, raw = model.forward_both(xb)  # a frozen byte copy's logits give v(x_1)
+        return _head_explainer_loss(raw, _softmax_np(logits.numpy()), classifier, xb,
+                                    y_train[idx], config, dist, rng)
 
     record = _fit("froyo", config, rng, len(x_train), config.inputs_per_batch,
-                  list(model.expl_head_parameters().values()), step_loss)
+                  model.expl_head_parameters(), step_loss)
     _check_frozen(model.net, frozen_before, "froyo")
     return model, record
 
@@ -521,7 +507,8 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
               config: StageConfig):
     """Jointly train encoder plus both heads; record per-step gradient cosine.
 
-    Each step takes the classification and the explanation gradient apart,
+    Each step runs one ``forward_both``, takes the classification and the
+    explanation gradient apart in two backward sweeps over that graph,
     records the cosine of their encoder parts and steps on their sum. The
     trained encoder is a copy; ``classifier`` stays the value function.
     """
@@ -538,9 +525,12 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
 
     def step_loss(idx):
         xb, yb = x_train[idx], y_train[idx]
-        cls_loss = _mse_class_loss(model.net.forward(xb), yb, dataset.num_classes)
+        logits, raw = model.forward_both(xb)
+        cls_loss = _mse_class_loss(logits, yb, dataset.num_classes)
         g_cls = _gradients(cls_loss, all_params)
-        expl_loss = _head_explainer_loss(model, classifier, xb, yb, config, dist, rng)
+        with ad.no_grad():
+            v1 = _softmax_np(classifier.forward(xb).numpy())
+        expl_loss = _head_explainer_loss(raw, v1, classifier, xb, yb, config, dist, rng)
         g_expl = _gradients(expl_loss, all_params)
         g1 = np.concatenate([g_cls[id(p)].ravel() for p in encoder_params])
         g2 = np.concatenate([g_expl[id(p)].ravel() for p in encoder_params])
@@ -551,7 +541,7 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
         return cls_loss.item() + expl_loss.item()
 
     record = _fit("duo", config, rng, len(x_train), config.inputs_per_batch,
-                  all_params, step_loss)
+                  model.named_parameters(), step_loss)
     record.extra["gradient_conflict_trace"] = [float(c) for c in conflict_trace]
     return model, record
 

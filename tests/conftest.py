@@ -1,9 +1,11 @@
 """Shared numerical helpers for the test suite."""
 
 import numpy as np
+import pytest
 
 import sideshap.autodiff as ad
 from sideshap.autodiff import ContractError, Tensor
+from sideshap.transformer import MaskedTransformer
 
 
 def fd_gradient(build_loss, values, eps=1e-6):
@@ -50,6 +52,23 @@ def relative_error(a, b):
     return float(np.abs(a - b).max() / denom)
 
 
+@pytest.fixture
+def block_state_masks(monkeypatch):
+    """The mask of every ``MaskedTransformer.block_states`` call, in call order.
+
+    None marks an unmasked pass.
+    """
+    masks = []
+    block_states = MaskedTransformer.block_states
+
+    def recording(self, tokens, mask):
+        masks.append(mask)
+        return block_states(self, tokens, mask)
+
+    monkeypatch.setattr(MaskedTransformer, "block_states", recording)
+    return masks
+
+
 def count_graph_nodes(out):
     """Number of recorded ops in the graph behind ``out`` (tensors with parents)."""
     seen, stack = set(), [out]
@@ -59,6 +78,19 @@ def count_graph_nodes(out):
             seen.add(id(t))
             stack.extend(parent for parent, _ in t._parents)
     return len(seen)
+
+
+def write_raw_checkpoint(path, role: bytes, config: bytes):
+    """A digest-valid checkpoint with the given raw role and config bytes and no tensors."""
+    import struct
+
+    from sideshap.checkpoint import FORMAT_VERSION, MAGIC, fnv1a_64
+
+    body = b"".join([MAGIC, struct.pack("<I", FORMAT_VERSION),
+                     struct.pack("<H", len(role)), role,
+                     struct.pack("<I", len(config)), config, struct.pack("<I", 0)])
+    with open(path, "wb") as f:
+        f.write(body + struct.pack("<Q", fnv1a_64(body)))
 
 
 NEG_MASK_VALUE = -1e9  # finite stand-in for -inf added to attention scores

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import write_raw_checkpoint
 
 from sideshap.checkpoint import (
     FORMAT_VERSION,
@@ -95,6 +96,33 @@ def test_bad_magic_rejected(tmp_path):
     body = bytes(blob[:-8])
     path.write_bytes(body + struct.pack("<Q", digest(body)))
     with pytest.raises(CheckpointError, match="magic"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("role, config, names", [
+    (b"\xff\xfe", b"{}", "not UTF-8"),  # the role
+    (b"classifier", b"\xff", "not UTF-8"),  # the config
+    (b"classifier", b"{model", "not JSON"),
+    (b"classifier", b"[1, 2]", "JSON object"),
+    (b"classifier", b"null", "JSON object"),
+])
+def test_digest_valid_malformed_body_is_checkpoint_error(tmp_path, role, config, names):
+    path = tmp_path / "m.ckpt"
+    write_raw_checkpoint(path, role, config)
+    with pytest.raises(CheckpointError, match=names):
+        load_checkpoint(path)
+
+
+def test_tensor_larger_than_the_body_is_checkpoint_error(tmp_path):
+    import struct
+
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, "classifier", {}, {"w": np.ones((2, 3), dtype=np.float32)})
+    body = path.read_bytes()[:-8]
+    at = body.index(struct.pack("<2Q", 2, 3))
+    body = body[:at] + struct.pack("<2Q", 2 ** 40, 2 ** 40) + body[at + 16:]
+    path.write_bytes(body + struct.pack("<Q", fnv1a_64(body)))
+    with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
 
 

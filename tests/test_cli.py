@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import write_raw_checkpoint
 
 from sideshap.cli import (
     EXIT_CHECK_FAILED,
@@ -337,6 +338,64 @@ def test_role_mismatch_exits_3(pipeline_artifacts, capsys, tmp_path):
                        "--set", "side.reduction=2", *FAST_TRAIN)
     assert code == EXIT_IO
     assert "role" in err
+
+
+def _malformed_checkpoint(artifacts, path, case):
+    """A digest-valid copy of a pipeline checkpoint whose body is malformed as ``case`` says."""
+    from sideshap.checkpoint import load_checkpoint, save_checkpoint
+
+    if case == "role not UTF-8":
+        return write_raw_checkpoint(path, b"\xffclassifier", b"{}")
+    if case == "config not a JSON object":
+        return write_raw_checkpoint(path, b"classifier", b"[1, 2]")
+    role = "surrogate" if "side" in case else "classifier"
+    ck = load_checkpoint(artifacts[role])
+    config = dict(ck.config)
+    if case == "no model block":
+        del config["model"]
+    elif case == "incomplete model block":
+        config["model"] = {k: v for k, v in config["model"].items() if k != "heads"}
+    elif case == "model block of wrong type":
+        config["model"] = dict(config["model"], depth="2")
+    else:
+        config["side"] = {"reduction": 2}
+    save_checkpoint(path, role, config, ck.state)
+
+
+@pytest.mark.parametrize("case", [
+    "role not UTF-8", "config not a JSON object", "no model block",
+    "incomplete model block", "model block of wrong type", "incomplete side block"])
+def test_malformed_checkpoint_exits_3(pipeline_artifacts, capsys, tmp_path, case):
+    bad = str(tmp_path / "bad.ckpt")
+    _malformed_checkpoint(pipeline_artifacts, bad, case)
+    out = tmp_path / "out"
+    if "side" in case:
+        code, _, err = _explain(capsys, dict(pipeline_artifacts, surrogate=bad),
+                                pipeline_artifacts["data"], 3, out)
+    else:
+        code, _, err = run(capsys, "train-surrogate", "--data", pipeline_artifacts["data"],
+                           "--classifier", bad, "--out", str(out),
+                           "--set", "side.reduction=2", *FAST_TRAIN)
+    assert code == EXIT_IO
+    assert err.startswith("i/o error:") and "bad.ckpt" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["not an npz", "npz without meta"])
+def test_malformed_dataset_exits_3(pipeline_artifacts, capsys, tmp_path, case):
+    data = tmp_path / "bad.npz"
+    if case == "not an npz":
+        data.write_text("tokens")
+    else:
+        np.savez(data, tokens=np.zeros((4, 6, 3), dtype=np.float32))
+    out = tmp_path / "c.ckpt"
+    code, _, err = run(capsys, "train-classifier", "--data", str(data), "--out", str(out),
+                       *FAST_MODEL, *FAST_TRAIN)
+    assert code == EXIT_IO
+    assert err.startswith("i/o error:") and "bad.npz" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_froyo_and_duo_commands(pipeline_artifacts, capsys, tmp_path):

@@ -50,6 +50,14 @@ def test_planted_patch_validation():
         generate_dataset("planted-patch", {"d": 4, "k_signal": 5}, seed=0)
     with pytest.raises(ContractError):
         generate_dataset("planted-patch", {"token_dim": 1}, seed=0)
+    for k in (0, -1):
+        with pytest.raises(ContractError, match="k_signal"):
+            generate_dataset("planted-patch", {"k_signal": k}, seed=0)
+    # names the kind does not read, a misspelling among them
+    for kind, params in (("planted-patch", {"dd": 5}), ("planted-patch", {"num_classes": 3}),
+                         ("linear-logit", {"k_signal": 2})):
+        with pytest.raises(ContractError, match="does not read"):
+            generate_dataset(kind, params, seed=0)
 
 
 def test_linear_logit_labels_match_stored_weights():
@@ -97,3 +105,18 @@ def test_split_accessor():
     ds = generate_dataset("linear-logit", {"n_samples": 100}, seed=7)
     x, y = ds.split("val")
     assert len(x) == len(y) == len(ds.splits["val"])
+
+
+def test_load_of_a_file_that_is_not_a_dataset_is_os_error(tmp_path):
+    text = tmp_path / "text.npz"
+    text.write_text("not an npz")
+    no_meta = tmp_path / "no_meta.npz"
+    np.savez(no_meta, tokens=np.zeros((2, 3, 4)))
+    truncated = tmp_path / "truncated.npz"
+    generate_dataset("linear-logit", {"n_samples": 20}, seed=0).save(truncated)
+    truncated.write_bytes(truncated.read_bytes()[:100])
+    empty = tmp_path / "empty.npz"
+    empty.touch()
+    for path in (text, no_meta, truncated, empty):
+        with pytest.raises(OSError, match=path.name):
+            SyntheticDataset.load(path)

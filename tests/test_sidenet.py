@@ -132,7 +132,7 @@ def test_training_side_branch_never_touches_backbone():
     backbone, sur = build_pair(seed=3)
     before = {k: v.copy() for k, v in backbone.state_dict().items()}
     rng = np.random.default_rng(4)
-    opt = Optimizer(sur.side_parameters(), OptimizerConfig(step_size=1e-2))
+    opt = Optimizer(sur.named_side_parameters().values(), OptimizerConfig(step_size=1e-2))
     for _ in range(3):
         x = rng.standard_normal((4, 8, 5)).astype(np.float32)
         mask = (rng.random((4, 8)) < 0.5).astype(np.float64)
@@ -192,20 +192,12 @@ def test_explain_bit_equal_to_three_pass_reference(batch):
     assert residual == want_residual
 
 
-def test_explain_runs_the_backbone_twice(monkeypatch):
+def test_explain_runs_the_backbone_twice(block_state_masks):
     combined = build_combined(15)
-    masks = []
-    block_states = MaskedTransformer.block_states
-
-    def counting(self, tokens, mask):
-        masks.append(mask)
-        return block_states(self, tokens, mask)
-
-    monkeypatch.setattr(MaskedTransformer, "block_states", counting)
     combined.explain(np.random.default_rng(8).standard_normal((3, 8, 5)))
     # one unmasked pass, then v(x_0) over the class token alone
-    assert len(masks) == 2
-    assert masks[0] is None and not np.any(masks[1])
+    assert len(block_state_masks) == 2
+    assert block_state_masks[0] is None and not np.any(block_state_masks[1])
 
 
 def test_explain_records_no_graph_and_training_still_does():
@@ -216,7 +208,7 @@ def test_explain_records_no_graph_and_training_still_does():
     sur = combined.surrogate
     loss = ad.mean(ad.square(sur.surrogate_logits(x, np.ones((2, 8)))))
     loss.backward()
-    assert all(p.grad is not None for p in sur.side_parameters())
+    assert all(p.grad is not None for p in sur.named_side_parameters().values())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -275,8 +267,8 @@ def test_side_state_roundtrip_and_mismatch():
 def test_count_side_params_matches_live_models():
     _, sur = build_pair()
     explainer = make_explainer_from_surrogate(sur, seed=1)
-    live_sur = sum(p.data.size for p in sur.side_parameters())
-    live_exp = sum(p.data.size for p in explainer.side_parameters())
+    live_sur = sum(p.data.size for p in sur.named_side_parameters().values())
+    live_exp = sum(p.data.size for p in explainer.named_side_parameters().values())
     assert live_sur == count_side_params(TOY, sur.side_config)
     assert live_exp == count_side_params(TOY, explainer.side_config)
 

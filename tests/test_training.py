@@ -23,7 +23,7 @@ from sideshap.training import (
 )
 from sideshap.training import (
     _chunked_logits,
-    _regression_targets,
+    _regression_batch,
     _softmax_np,
 )
 from sideshap.transformer import MaskedTransformer, ModelConfig
@@ -92,6 +92,9 @@ def test_stage_config_validation():
         quick_stage(mask_bank=7)  # must be even
     with pytest.raises(ContractError, match="label_mode"):
         quick_stage(label_mode="lable")
+    for decay in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ContractError, match="step_decay"):
+            quick_stage(step_decay=decay)
 
 
 def test_loss_record_csv(tmp_path):
@@ -156,7 +159,7 @@ def test_surrogate_freezes_backbone(trained_pair):
     # train_surrogate already asserts the digest internally; double-check here
     assert sur.backbone is clf
     assert all(not p.requires_grad for p in clf.parameters())
-    assert all(p.requires_grad for p in sur.side_parameters())
+    assert all(p.requires_grad for p in sur.named_side_parameters().values())
 
 
 def test_surrogate_records_kl_losses(trained_pair):
@@ -235,12 +238,12 @@ def _stacked_value_targets(logits_fn, xb, yb, masks, m, num_classes, label_mode)
     logits = _chunked_logits(logits_fn, np.repeat(xb, m + 2, axis=0), stacked, chunk=1024)
     vals = _softmax_np(logits).reshape(n_in, m + 2, -1)
     v0, v1 = vals[:, m, :], vals[:, m + 1, :]
-    targets = (vals[:, :m, :] - v0[:, None, :]).reshape(n_in * m, -1)
+    targets = vals[:, :m, :] - v0[:, None, :]
     if label_mode == "label":
         weights = np.eye(num_classes, dtype=np.float64)[yb]
     else:
         weights = _softmax_np(_chunked_logits(logits_fn, xb))
-    return targets, v1 - v0, weights
+    return masks.reshape(n_in, m, d), targets, v1 - v0, weights
 
 
 @pytest.mark.parametrize("label_mode", ["weighted", "label"])
@@ -259,11 +262,10 @@ def test_value_targets_bit_equal_to_stacked_extremes(trained_pair, label_mode,
     else:
         logits_fn = clf.forward
         v1 = _softmax_np(clf.forward(xb).numpy())
-    targets, diffs, weights = _regression_targets(logits_fn, v1, xb, yb, masks, m,
-                                                  label_mode)
+    got = _regression_batch(logits_fn, v1, xb, yb, masks, m, label_mode)
     want = _stacked_value_targets(logits_fn, xb, yb, masks, m, ds.num_classes, label_mode)
-    for got, ref in zip((targets, diffs, weights), want):
-        assert got.tobytes() == ref.tobytes()
+    for a, ref in zip(got, want):
+        assert a.shape == ref.shape and a.tobytes() == ref.tobytes()
 
 
 def test_froyo_trains_only_explanation_head(trained_pair):
@@ -303,6 +305,15 @@ def test_head_pipeline_record_has_no_validation_pass(trained_pair, trainer):
     assert np.isnan(rec.initial_loss)
     assert rec.final_loss == rec.val_losses[-1]
     assert rec.best_epoch == int(np.argmin(rec.val_losses))
+
+
+@pytest.mark.parametrize("trainer, unmasked", [(train_froyo, 1), (train_duo, 2)])
+def test_head_pipeline_unmasked_passes_per_step(trained_pair, block_state_masks,
+                                                trainer, unmasked):
+    """Froyo reads v(x_1) from its one ``forward_both``; duo adds one classifier pass."""
+    ds, clf, _ = trained_pair
+    _, rec = trainer(clf, ds, quick_stage(epochs=2))
+    assert sum(mask is None for mask in block_state_masks) == unmasked * len(rec.step_losses)
 
 
 def test_head_explainer_model_shapes():
