@@ -20,10 +20,9 @@ __all__ = [
     "DimensionError",
     "OptimizerConfig",
     "Optimizer",
-    "add", "sub", "mul", "div", "neg", "matmul", "reshape", "transpose",
-    "broadcast_to", "concat", "narrow", "take", "tensor_sum", "mean", "square",
-    "log", "exp", "sqrt", "gelu", "relu", "softmax", "log_softmax",
-    "attention", "layer_norm", "no_grad",
+    "add", "sub", "mul", "matmul", "reshape", "transpose", "broadcast_to",
+    "concat", "narrow", "take", "tensor_sum", "mean", "square", "gelu",
+    "softmax", "log_softmax", "attention", "layer_norm", "no_grad",
 ]
 
 _SQRT_2 = np.sqrt(2.0)
@@ -64,21 +63,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data.reshape(()))
 
     def numpy(self):
         return self.data
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -87,29 +76,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other, self.dtype))
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self):
         """Reverse-mode sweep from a scalar tensor.
@@ -241,20 +212,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if np.any(b.data == 0):
-        raise ContractError("div: zero denominator")
-    out = _broadcast(np.divide, a, b, "div")
-    return _result(out, (
-        (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-        (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-    ))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, ((a, lambda g: -g),))
-
-
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a @ b``, plus ``bias`` (broadcast like ``add``) in the same node."""
     if a.data.ndim < 1 or b.data.ndim < 1 or a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
@@ -365,39 +322,13 @@ def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _result(out, ((a, grad_fn),))
 
 
-def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.shape[axis]
-    return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+def mean(a: Tensor) -> Tensor:
+    """Mean over every element, a scalar."""
+    return tensor_sum(a) * (1.0 / a.data.size)
 
 
 def square(a: Tensor) -> Tensor:
     return _result(a.data * a.data, ((a, lambda g: g * 2.0 * a.data),))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ContractError("log: non-positive input")
-    return _result(np.log(a.data), ((a, lambda g: g / a.data),))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _result(out, ((a, lambda g: g * out),))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0):
-        raise ContractError("sqrt: negative input")
-    out = np.sqrt(a.data)
-    return _result(out, ((a, lambda g: g * 0.5 / out),))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _result(a.data * mask, ((a, lambda g: g * mask),))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -540,6 +471,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # ---------------------------------------------------------------------------
 # optimization
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+
 
 @dataclass
 class OptimizerConfig:
@@ -551,17 +487,10 @@ class OptimizerConfig:
 
     step_size: float = 1e-4
     scheme: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ContractError(f"step_size must be finite and positive, not {self.step_size}")
-        if self.scheme in ("plain-gd", "sgd"):
-            self.scheme = "gd"
-        if self.scheme in ("adam-style",):
-            self.scheme = "adam"
         if self.scheme not in ("gd", "adam"):
             raise ContractError(f"unknown optimizer scheme {self.scheme!r}")
 
@@ -588,20 +517,19 @@ class Optimizer:
             p.grad = None
 
     def step(self):
-        cfg = self.config
         self.t += 1
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ContractError("optimizer_step: trainable parameter has no gradient")
             g = p.grad
-            if cfg.scheme == "gd":
+            if self.config.scheme == "gd":
                 p.data = (p.data - self.step_size * g).astype(p.data.dtype, copy=False)
             else:
-                self._m[i] = cfg.beta1 * self._m[i] + (1 - cfg.beta1) * g
-                self._v[i] = cfg.beta2 * self._v[i] + (1 - cfg.beta2) * g * g
-                mhat = self._m[i] / (1 - cfg.beta1 ** self.t)
-                vhat = self._v[i] / (1 - cfg.beta2 ** self.t)
-                p.data = (p.data - self.step_size * mhat / (np.sqrt(vhat) + cfg.epsilon)
+                self._m[i] = _BETA1 * self._m[i] + (1 - _BETA1) * g
+                self._v[i] = _BETA2 * self._v[i] + (1 - _BETA2) * g * g
+                mhat = self._m[i] / (1 - _BETA1 ** self.t)
+                vhat = self._v[i] / (1 - _BETA2 ** self.t)
+                p.data = (p.data - self.step_size * mhat / (np.sqrt(vhat) + _EPSILON)
                           ).astype(p.data.dtype, copy=False)
             if not np.all(np.isfinite(p.data)):
                 raise FloatingPointError(

@@ -123,6 +123,8 @@ def load_checkpoint(path, expected_role: str | None = None) -> CheckpointData:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         name = text(name_len)
+        if name in state:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()

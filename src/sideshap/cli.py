@@ -88,14 +88,18 @@ def _parse_value(text: str):
 def read_config_file(path) -> dict:
     out = {}
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = _parse_value(value)
+        try:
+            lines = f.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: config file is not UTF-8 ({exc.reason})") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        out[key.strip()] = _parse_value(value)
     return out
 
 

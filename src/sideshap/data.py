@@ -70,7 +70,7 @@ class SyntheticDataset:
         try:
             with np.load(path) as z:
                 meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-                return SyntheticDataset(
+                ds = SyntheticDataset(
                     kind=meta["kind"],
                     tokens=z["tokens"],
                     labels=z["labels"],
@@ -78,8 +78,31 @@ class SyntheticDataset:
                     seed=meta["seed"],
                     params=meta["params"],
                 )
+            _check_contents(ds)
+            return ds
         except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
             raise OSError(f"{path}: not a dataset file ({type(exc).__name__}: {exc})") from None
+
+
+def _is_index_array(a: np.ndarray, bound: int) -> bool:
+    """Whether ``a`` is a 1-D integer array with every value in [0, bound)."""
+    return (a.ndim == 1 and np.issubdtype(a.dtype, np.integer)
+            and (a.size == 0 or (a.min() >= 0 and a.max() < bound)))
+
+
+def _check_contents(ds: SyntheticDataset):
+    """ValueError unless ``ds`` holds the array shapes, dtypes and ranges ``save`` writes."""
+    if ds.tokens.ndim != 3 or ds.tokens.dtype != np.float32:
+        raise ValueError(f"tokens are {ds.tokens.dtype} {ds.tokens.shape}, not 3-D float32")
+    num_classes = ds.params["num_classes"]
+    if type(num_classes) is not int or num_classes < 2:
+        raise ValueError(f"num_classes {num_classes!r} is not an int >= 2")
+    n = len(ds.tokens)
+    if len(ds.labels) != n or not _is_index_array(ds.labels, num_classes):
+        raise ValueError(f"labels are not {n} integers in [0, {num_classes})")
+    for name, idx in ds.splits.items():
+        if not _is_index_array(idx, n):
+            raise ValueError(f"split {name!r} is not 1-D integer indices in [0, {n})")
 
 
 def _meta_bytes(kind, seed, params) -> bytes:

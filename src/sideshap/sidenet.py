@@ -213,22 +213,6 @@ class CombinedModel:
     def config(self) -> ModelConfig:
         return self.classifier.config
 
-    def _single_pass(self, tokens: np.ndarray):
-        """One unmasked backbone pass: its states, y_main logits and raw grid."""
-        states = self.classifier.block_states(tokens, None)
-        logits = self.classifier.logits_from_state(states[-1]).numpy()
-        raw = self.explainer.explainer_raw(tokens, backbone_states=states).numpy()
-        return states, logits, raw
-
-    def forward(self, tokens: np.ndarray):
-        """One backbone pass feeding both the original head and the explainer.
-
-        Returns (y_main logits, raw attribution grid) as numpy arrays.
-        """
-        with ad.no_grad():
-            _, logits, raw = self._single_pass(tokens)
-        return logits, raw
-
     def explain(self, tokens: np.ndarray):
         """Prediction plus efficiency-normalized attributions for all classes.
 
@@ -243,7 +227,9 @@ class CombinedModel:
         if tokens.ndim == 2:
             tokens = tokens[None]
         with ad.no_grad():
-            states, logits, raw = self._single_pass(tokens)
+            states = self.classifier.block_states(tokens, None)
+            logits = self.classifier.logits_from_state(states[-1]).numpy()
+            raw = self.explainer.explainer_raw(tokens, backbone_states=states).numpy()
             v1 = ad.softmax(self.surrogate.surrogate_logits(
                 tokens, None, backbone_states=states)).numpy()  # (b, C)
             zeros = np.zeros((tokens.shape[0], self.config.num_tokens), dtype=np.float32)

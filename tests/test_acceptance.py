@@ -298,7 +298,7 @@ def test_07_frozen_backbone(report, planted16):
     explainer = make_explainer_from_surrogate(sur, seed=0)
     combined = CombinedModel(clf, sur, explainer)
     x_test, _ = ds.split("test")
-    main_logits, _ = combined.forward(x_test)
+    main_logits, _, _ = combined.explain(x_test)
     solo_logits = clf.forward(x_test).numpy()
     bitequal = main_logits.tobytes() == solo_logits.tobytes()
     report("frozen-backbone", frozen_ok and bitequal,

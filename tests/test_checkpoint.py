@@ -126,6 +126,19 @@ def test_tensor_larger_than_the_body_is_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_duplicate_tensor_name_is_checkpoint_error(tmp_path):
+    import struct
+
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, "classifier", {}, {"w": np.ones(2, dtype=np.float32),
+                                             "x": np.zeros(2, dtype=np.float32)})
+    body = path.read_bytes()[:-8].replace(struct.pack("<H", 1) + b"x",
+                                          struct.pack("<H", 1) + b"w")
+    path.write_bytes(body + struct.pack("<Q", fnv1a_64(body)))
+    with pytest.raises(CheckpointError, match="tensor 'w' appears twice"):
+        load_checkpoint(path)
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IOError):
         load_checkpoint(tmp_path / "nope.ckpt")

@@ -67,6 +67,20 @@ def test_unknown_config_key_rejected():
         effective_config({"model.depth": 2}, Args())
 
 
+def test_config_file_that_is_not_utf8_exits_1(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"data.d = 6\n\xff\xfe\x00\x01")
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setenv("SIDESHAP_OUTDIR", str(out))
+    code, stdout, err = run(capsys, "gen-data", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:") and str(cfg) in err and "UTF-8" in err
+    assert len(err.splitlines()) == 1
+    assert stdout == ""
+    assert list(out.iterdir()) == []
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "no-such-command")[0] == EXIT_USAGE
     assert run(capsys, "train-classifier")[0] == EXIT_USAGE  # missing --data
@@ -450,6 +464,8 @@ BOUNDARY_CASES = [
      EXIT_CHECK_FAILED, "contract violation:", "step_size"),
     ("train-classifier", ["--set", "train.step_size=inf"],
      EXIT_CHECK_FAILED, "contract violation:", "step_size"),
+    ("train-classifier", ["--set", "train.scheme=sgd"],
+     EXIT_CHECK_FAILED, "contract violation:", "scheme"),
     ("train-classifier", ["--set", "train.batch_size=0"],
      EXIT_CHECK_FAILED, "contract violation:", "batch_size"),
     ("train-classifier", ["--set", "train.seed=-1"],

@@ -117,6 +117,42 @@ def test_load_of_a_file_that_is_not_a_dataset_is_os_error(tmp_path):
     truncated.write_bytes(truncated.read_bytes()[:100])
     empty = tmp_path / "empty.npz"
     empty.touch()
-    for path in (text, no_meta, truncated, empty):
+    for path in (text, no_meta, truncated, empty, *_malformed_contents(tmp_path)):
         with pytest.raises(OSError, match=path.name):
             SyntheticDataset.load(path)
+
+
+def _malformed_contents(tmp_path):
+    """npz files with a valid ``meta`` whose arrays or params break the dataset contract."""
+    import json
+
+    good = tmp_path / "good.npz"
+    generate_dataset("linear-logit", {"n_samples": 20}, seed=0).save(good)
+    with np.load(good) as z:
+        contents = dict(z)
+    meta = json.loads(bytes(contents["meta"]))
+
+    def with_params(**params):
+        merged = {k: v for k, v in {**meta["params"], **params}.items() if v is not None}
+        return np.frombuffer(json.dumps({**meta, "params": merged}).encode(), dtype=np.uint8)
+
+    labels_out_of_range = contents["labels"].copy()
+    labels_out_of_range[3] = 2
+    changes = {
+        "flat_tokens": {"tokens": contents["tokens"].reshape(-1)},
+        "float64_tokens": {"tokens": contents["tokens"].astype(np.float64)},
+        "short_labels": {"labels": contents["labels"][:-1]},
+        "float_labels": {"labels": contents["labels"].astype(np.float32)},
+        "label_out_of_range": {"labels": labels_out_of_range},
+        "split_beyond_n": {"test": np.append(contents["test"], 20)},
+        "negative_split": {"val": np.append(contents["val"], -1)},
+        "2d_split": {"train": contents["train"][None]},
+        "float_split": {"train": contents["train"].astype(np.float64)},
+        "no_num_classes": {"meta": with_params(num_classes=None)},
+        "one_class": {"meta": with_params(num_classes=1)},
+        "float_num_classes": {"meta": with_params(num_classes=2.0)},
+    }
+    for name, change in changes.items():
+        path = tmp_path / f"{name}.npz"
+        np.savez(path, **{**contents, **change})
+        yield path

@@ -150,9 +150,9 @@ def test_combined_prediction_bit_identical_to_classifier():
     explainer = make_explainer_from_surrogate(sur, seed=6)
     combined = CombinedModel(backbone, sur, explainer)
     x = np.random.default_rng(5).standard_normal((4, 8, 5)).astype(np.float32)
-    logits, raw = combined.forward(x)
+    logits, phi, _ = combined.explain(x)
     assert logits.tobytes() == backbone.forward(x).numpy().tobytes()
-    assert raw.shape == (4, 8, 3)
+    assert phi.shape == (4, 8, 3)
 
 
 def test_combined_explain_efficiency_residual():
@@ -204,7 +204,6 @@ def test_explain_records_no_graph_and_training_still_does():
     combined = build_combined(17)
     x = np.random.default_rng(9).standard_normal((2, 8, 5)).astype(np.float32)
     combined.explain(x)
-    combined.forward(x)
     sur = combined.surrogate
     loss = ad.mean(ad.square(sur.surrogate_logits(x, np.ones((2, 8)))))
     loss.backward()
