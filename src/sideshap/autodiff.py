@@ -436,7 +436,10 @@ def log_softmax(a: Tensor) -> Tensor:
     return _result(out, ((a, grad_fn),))
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+_LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer normalization over the last axis with affine parameters."""
     if gamma.shape != a.shape[-1:] or beta.shape != a.shape[-1:]:
         raise DimensionError(
@@ -449,7 +452,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.sum(axis=-1, keepdims=True) / n
     xc = x - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
 

@@ -259,8 +259,9 @@ def cmd_gen_data(args):
     cfg = effective_config(DATA_DEFAULTS, args)
     params = {key: cfg[f"data.{key}"]
               for key in ("d", "token_dim", "n_samples", "num_classes")}
-    if cfg["data.kind"] == "planted-patch":
-        params.pop("num_classes")
+    if cfg["data.kind"] == "planted-patch" and params.pop("num_classes") != 2:
+        raise ContractError(f"planted-patch datasets have 2 classes, "
+                            f"not data.num_classes={cfg['data.num_classes']}")
     ds = generate_dataset(cfg["data.kind"], params, cfg["data.seed"])
     path = out_path(args, "dataset.npz")
     ds.save(path)
@@ -302,6 +303,10 @@ def cmd_train_explainer(args):
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
     surrogate = _load_branch(args.surrogate, classifier, ROLE_SURROGATE)
+    if cfg["side.reduction"] != surrogate.side_config.reduction:
+        raise ContractError(
+            f"side.reduction={cfg['side.reduction']} differs from the surrogate's reduction "
+            f"{surrogate.side_config.reduction}; the explainer inherits the surrogate's trunk")
     model, record = train_explainer(surrogate, ds, _stage_config(cfg))
     path = out_path(args, "explainer.ckpt")
     _save_branch(path, model, record, cfg)

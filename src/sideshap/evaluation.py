@@ -64,7 +64,7 @@ def insertion_deletion(value_fn, attribution: np.ndarray) -> InsertionDeletionCu
 
     ins_vals = np.asarray(value_fn(ins_masks), dtype=np.float64).reshape(-1)
     del_vals = np.asarray(value_fn(del_masks), dtype=np.float64).reshape(-1)
-    if ins_vals.shape[0] != len(counts):
+    if ins_vals.shape[0] != len(counts) or del_vals.shape[0] != len(counts):
         raise ContractError("value_fn returned wrong batch size")
 
     frac = counts / d

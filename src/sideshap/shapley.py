@@ -100,9 +100,7 @@ def exact_shapley(game: Game) -> np.ndarray:
     if d > MAX_EXACT_PLAYERS:
         raise BudgetError(f"exact enumeration needs d <= {MAX_EXACT_PLAYERS}, got {d}")
     subsets = all_subsets(d)
-    values = np.atleast_2d(np.asarray(game.evaluate(subsets), dtype=np.float64))
-    if values.shape[0] != 2 ** d:
-        values = values.T
+    values = np.asarray(game.evaluate(subsets), dtype=np.float64).reshape(len(subsets), -1)
     sizes = subsets.sum(axis=1).astype(np.int64)
     inv_binom = 1.0 / comb(d - 1, np.arange(d), exact=False)
     phi = np.zeros((d, values.shape[1]), dtype=np.float64)
@@ -143,25 +141,20 @@ def sample_subsets(dist: ShapleyKernelDist, n: int, paired: bool,
     """i.i.d. draws from q(s); paired batches interleave each draw with its complement."""
     rng = np.random.default_rng(seed_or_rng) if not isinstance(
         seed_or_rng, np.random.Generator) else seed_or_rng
-    ks = rng.choice(np.arange(1, dist.d), size=_draw_count(n, paired),
+    if paired and n % 2 != 0:
+        raise ValueError("paired sampling requires an even sample count")
+    ks = rng.choice(np.arange(1, dist.d), size=n // 2 if paired else n,
                     p=dist.cardinality)
     return _fill_and_pair(ks, dist.d, paired, rng)
 
 
-def sample_equicardinality_masks(d: int, n: int, rng: np.random.Generator,
-                                 paired: bool = False) -> np.ndarray:
+def sample_equicardinality_masks(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Surrogate-stage masks: cardinality uniform on {0..d}, then a uniform subset.
 
     Cardinalities 0 and d are both included.
     """
-    ks = rng.integers(0, d + 1, size=_draw_count(n, paired))
-    return _fill_and_pair(ks, d, paired, rng)
-
-
-def _draw_count(n: int, paired: bool) -> int:
-    if paired and n % 2 != 0:
-        raise ValueError("paired sampling requires an even sample count")
-    return n // 2 if paired else n
+    ks = rng.integers(0, d + 1, size=n)
+    return _fill_and_pair(ks, d, False, rng)
 
 
 def _fill_and_pair(ks, d: int, paired: bool, rng: np.random.Generator) -> np.ndarray:
@@ -214,9 +207,7 @@ def kernelshap(game: Game, n_samples: int, seed, paired: bool = False):
         raise ValueError("kernelshap needs d >= 2")
     dist = shapley_kernel(d)
     masks = sample_subsets(dist, n_samples, paired, seed)
-    values = np.atleast_2d(np.asarray(game.evaluate(masks), dtype=np.float64))
-    if values.shape[0] != masks.shape[0]:
-        values = values.T
+    values = np.asarray(game.evaluate(masks), dtype=np.float64).reshape(len(masks), -1)
     v1 = np.atleast_1d(game.grand_value())
     v0 = np.atleast_1d(game.null_value())
 

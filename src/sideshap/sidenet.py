@@ -9,7 +9,7 @@ surrogate (masked-prediction mimic) and the explainer (attribution emitter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,9 +23,11 @@ from .transformer import (
     MsaBlock,
     block_param_count,
     by_kept_count,
+    class_row,
     load_named_state,
     named_layer_parameters,
     state_snapshot,
+    token_batch,
 )
 
 ROLE_SURROGATE = "surrogate"
@@ -62,13 +64,7 @@ class SideConfig:
         return width
 
     def to_dict(self):
-        return {"reduction": self.reduction, "role": self.role,
-                "explainer_head_depth": self.explainer_head_depth}
-
-
-def side_heads(hidden_side: int, backbone_heads: int) -> int:
-    # keep the backbone head count when it divides the side width
-    return backbone_heads if hidden_side % backbone_heads == 0 else 1
+        return asdict(self)
 
 
 def token_head(rng, width: int, depth: int, num_classes: int) -> list:
@@ -96,14 +92,12 @@ class SideTunedModel:
         backbone.set_trainable(False)
         c = backbone.config
         hs = side.side_hidden(c.hidden)
-        self.side_hidden = hs
         rng = np.random.default_rng(seed)
         mlp_hidden = side.side_mlp_hidden(c)
+        # keep the backbone head count when it divides the side width
+        heads = c.heads if hs % c.heads == 0 else 1
         self.downsamplers = [Linear(rng, c.hidden, hs) for _ in range(c.depth)]
-        self.side_blocks = [
-            MsaBlock(rng, hs, side_heads(hs, c.heads), mlp_hidden)
-            for _ in range(c.depth)
-        ]
+        self.side_blocks = [MsaBlock(rng, hs, heads, mlp_hidden) for _ in range(c.depth)]
         self.side_norm = LayerNorm(hs)
         if side.role == ROLE_SURROGATE:
             self.head_layers = [Linear(rng, hs, c.num_classes)]
@@ -121,9 +115,7 @@ class SideTunedModel:
 
     def _surrogate_head(self, backbone_states) -> Tensor:
         seq = self._side_pass(backbone_states)
-        cls = ad.reshape(ad.narrow(seq, 1, 0, 1),
-                         (seq.shape[0], self.side_hidden))
-        return self.head_layers[0](cls)
+        return self.head_layers[0](class_row(seq))
 
     def surrogate_logits(self, tokens: np.ndarray, mask: np.ndarray | None,
                          backbone_states=None) -> Tensor:
@@ -168,23 +160,15 @@ class SideTunedModel:
     def load_side_state(self, state: dict):
         load_named_state(self.named_side_parameters(), state)
 
-    def copy_trunk_from(self, other: "SideTunedModel"):
-        """Copy downsamplers, side blocks and side norm; leave the head alone."""
-        trunk = {k: p for k, p in self.named_side_parameters().items()
-                 if not k.startswith("head.")}
-        source = other.named_side_parameters()
-        load_named_state(trunk, {k: source[k].data for k in trunk})
-
 
 def make_explainer_from_surrogate(surrogate: SideTunedModel, seed: int = 0) -> SideTunedModel:
     """Explainer branch initialized from surrogate weights, head replaced."""
-    cfg = SideConfig(
-        reduction=surrogate.side_config.reduction,
-        role=ROLE_EXPLAINER,
-        explainer_head_depth=surrogate.side_config.explainer_head_depth,
-    )
-    explainer = SideTunedModel(surrogate.backbone, cfg, seed=seed)
-    explainer.copy_trunk_from(surrogate)
+    explainer = SideTunedModel(surrogate.backbone,
+                               replace(surrogate.side_config, role=ROLE_EXPLAINER), seed=seed)
+    trunk = {k: p for k, p in explainer.named_side_parameters().items()
+             if not k.startswith("head.")}
+    source = surrogate.named_side_parameters()
+    load_named_state(trunk, {k: source[k].data for k in trunk})
     return explainer
 
 
@@ -209,10 +193,6 @@ class CombinedModel:
         self.surrogate = surrogate
         self.explainer = explainer
 
-    @property
-    def config(self) -> ModelConfig:
-        return self.classifier.config
-
     def explain(self, tokens: np.ndarray):
         """Prediction plus efficiency-normalized attributions for all classes.
 
@@ -223,16 +203,14 @@ class CombinedModel:
         """
         from .shapley import efficiency_normalize_grid
 
-        tokens = np.asarray(tokens, dtype=np.float32)
-        if tokens.ndim == 2:
-            tokens = tokens[None]
+        tokens = token_batch(tokens)
         with ad.no_grad():
             states = self.classifier.block_states(tokens, None)
             logits = self.classifier.logits_from_state(states[-1]).numpy()
             raw = self.explainer.explainer_raw(tokens, backbone_states=states).numpy()
             v1 = ad.softmax(self.surrogate.surrogate_logits(
                 tokens, None, backbone_states=states)).numpy()  # (b, C)
-            zeros = np.zeros((tokens.shape[0], self.config.num_tokens), dtype=np.float32)
+            zeros = np.zeros(tokens.shape[:2], dtype=np.float32)  # the empty mask, (b, d)
             v0 = self.surrogate.surrogate_forward(tokens, zeros)
         normalized = efficiency_normalize_grid(raw, v1, v0)
         residual = np.abs(normalized.sum(axis=1) - (v1 - v0)).max()

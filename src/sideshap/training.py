@@ -14,7 +14,7 @@ the last epoch's loss and no best state is restored.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,14 +79,7 @@ class LossRecord:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "step_losses": [float(x) for x in self.step_losses],
-            "val_losses": [float(x) for x in self.val_losses],
-            "best_epoch": self.best_epoch,
-            "initial_loss": self.initial_loss,
-            "final_loss": self.final_loss,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
     def write_csv(self, path):
         import csv
@@ -423,13 +416,15 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
 
 
 class HeadExplainerModel:
-    """Full-width transformer with an added per-token explanation head.
+    """A full-width copy of ``classifier`` with an added per-token explanation head.
 
     Used by the froyo (head-only training) and duo (joint training) pipelines.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, classifier: MaskedTransformer, seed: int = 0):
+        config = classifier.config
         self.net = MaskedTransformer(config, seed=seed)
+        self.net.load_state(classifier.state_dict())
         # as deep as the side explainer's default head
         self.expl_head = token_head(np.random.default_rng(seed + 17), config.hidden,
                                     SideConfig.explainer_head_depth, config.num_classes)
@@ -474,8 +469,7 @@ def _head_explainer_loss(raw: Tensor, v1, classifier: MaskedTransformer, xb, yb,
 def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
                 config: StageConfig):
     """Train only the explanation head; encoder and prediction head stay frozen."""
-    model = HeadExplainerModel(classifier.config, seed=config.seed)
-    model.net.load_state(classifier.state_dict())
+    model = HeadExplainerModel(classifier, seed=config.seed)
     model.net.set_trainable(False)
     frozen_before = state_digest(model.net.state_dict())
     rng = np.random.default_rng(config.seed)
@@ -514,8 +508,7 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     """
     from .evaluation import gradient_conflict
 
-    model = HeadExplainerModel(classifier.config, seed=config.seed)
-    model.net.load_state(classifier.state_dict())
+    model = HeadExplainerModel(classifier, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     all_params = list(model.named_parameters().values())
     encoder_params = list(model.encoder_parameters().values())
@@ -550,8 +543,7 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
 # Geometric loss-decay check on a synthetic strictly convex problem
 
 
-def geometric_decay_experiment(seed: int = 0, n: int = 64, p: int = 3,
-                              steps: int = 200):
+def geometric_decay_experiment(seed: int = 0, steps: int = 200):
     """Full-batch plain GD on a strictly convex linear-softmax KL objective.
 
     Two-class model with logits [0, w^T x] (no softmax gauge freedom). The
@@ -563,6 +555,7 @@ def geometric_decay_experiment(seed: int = 0, n: int = 64, p: int = 3,
     """
     from scipy.optimize import minimize
 
+    n, p = 64, 3  # samples, features
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p))
     w_ref = rng.standard_normal(p)

@@ -10,7 +10,7 @@ alone (token compaction), each kept token with its own position row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,12 +46,7 @@ class ModelConfig:
         return int(round(self.mlp_ratio * self.hidden))
 
     def to_dict(self):
-        return {
-            "depth": self.depth, "hidden": self.hidden, "heads": self.heads,
-            "num_tokens": self.num_tokens, "token_input_dim": self.token_input_dim,
-            "num_classes": self.num_classes, "mlp_ratio": self.mlp_ratio,
-            "use_positional": self.use_positional,
-        }
+        return asdict(self)
 
 
 # architecture tables for analytic count reproduction; no weights attached
@@ -150,15 +145,24 @@ def load_named_state(named: dict, state: dict):
         p.data = np.array(state[k], dtype=np.float32)
 
 
+def token_batch(tokens: np.ndarray) -> np.ndarray:
+    """``tokens`` as a float32 batch; one (d, token_input_dim) sequence becomes a batch of 1."""
+    tokens = np.asarray(tokens, dtype=np.float32)
+    return tokens[None] if tokens.ndim == 2 else tokens
+
+
+def class_row(seq: Tensor) -> Tensor:
+    """The class token's row of each sequence: (batch, tokens, width) -> (batch, width)."""
+    return ad.reshape(ad.narrow(seq, 1, 0, 1), (seq.shape[0], seq.shape[2]))
+
+
 def masked_batch(tokens: np.ndarray, mask: np.ndarray, num_tokens: int):
     """Checked (tokens, mask): (batch, d, token_input_dim) float32 and (batch, d) 0/1.
 
     A single token row or mask row is broadcast over the other's batch. Any
     mask value other than 0 or 1 (NaN included) is a ContractError.
     """
-    tokens = np.asarray(tokens, dtype=np.float32)
-    if tokens.ndim == 2:
-        tokens = tokens[None]
+    tokens = token_batch(tokens)
     mask = np.asarray(mask)
     if mask.ndim == 1:
         mask = mask[None, :]
@@ -227,9 +231,7 @@ class MaskedTransformer:
         """
         c = self.config
         if mask is None:
-            tokens = np.asarray(tokens, dtype=np.float32)
-            if tokens.ndim == 2:
-                tokens = tokens[None]
+            tokens = token_batch(tokens)
         else:
             tokens, mask = masked_batch(tokens, mask, c.num_tokens)
         if tokens.shape[1] != c.num_tokens:
@@ -270,9 +272,7 @@ class MaskedTransformer:
         return states
 
     def logits_from_state(self, final_state: Tensor) -> Tensor:
-        cls = ad.narrow(final_state, 1, 0, 1)  # (b, 1, h)
-        cls = ad.reshape(cls, (final_state.shape[0], self.config.hidden))
-        return self.head(self.final_norm(cls))
+        return self.head(self.final_norm(class_row(final_state)))
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Class logits for a (batch of) token sequence(s) under mask s."""

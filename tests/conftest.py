@@ -159,7 +159,7 @@ def key_bias_surrogate_logits(surrogate, tokens, mask):
         tap = tap_fc(state)
         z = key_bias_block(block, tap if z is None else z + tap, bias)
     seq = surrogate.side_norm(z)
-    cls = ad.reshape(ad.narrow(seq, 1, 0, 1), (seq.shape[0], surrogate.side_hidden))
+    cls = ad.reshape(ad.narrow(seq, 1, 0, 1), (seq.shape[0], seq.shape[2]))
     return surrogate.head_layers[0](cls)
 
 

@@ -35,3 +35,34 @@ def test_checked_span_names_are_traced(workload):
     checked = set(w.must_fire) | set(w.must_be_zero)
     assert checked
     assert sorted(checked - targets) == []
+
+
+# the shrunken sizes of perfbench/test_harness.py
+TINY = {
+    "explain-vit": {"model": {"depth": 1, "hidden": 16, "heads": 2, "num_tokens": 6,
+                              "token_input_dim": 4, "num_classes": 3},
+                    "reduction": 2, "n_samples": 8, "batch": 2},
+    "oracle-d12": {"d": 5, "token_dim": 3, "hidden": 8, "depth": 1, "heads": 2,
+                   "n_samples": 20, "kernel_samples": 512},
+    "pipeline-d16": {"d": 6, "token_dim": 3, "n_samples": 120,
+                     "epochs": {"classifier": 1, "surrogate": 1, "explainer": 1},
+                     "masks_per_input": 4, "mask_bank": 4, "eval_samples": 3},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_runs_and_verifies_untraced(workload, tmp_path):
+    """Set-up, cold start and one operation of a shrunken workload pass their checks.
+
+    This reaches every method the workload calls, traced or not (``to_dict``,
+    ``load_side_state``, ...).
+    """
+    assert sorted(TINY) == sorted(workloads.WORKLOADS)
+    wl = workloads.WORKLOADS[workload](str(tmp_path), 3, **TINY[workload])
+    wl.setup()
+    verifies = [] if wl.cold_after_ops else [wl.cold_start()]
+    verifies.append(wl.op(0))
+    if wl.cold_after_ops:
+        verifies.append(wl.cold_start())
+    for verify in verifies:
+        verify()

@@ -448,6 +448,8 @@ def _boundary_inputs(command, artifacts):
         "train-classifier": [*data, *FAST_MODEL, *FAST_TRAIN],
         "train-surrogate": [*data, "--classifier", artifacts["classifier"],
                             "--set", "side.reduction=2", *FAST_TRAIN],
+        "train-explainer": [*data, "--classifier", artifacts["classifier"],
+                            "--surrogate", artifacts["surrogate"], *FAST_TRAIN],
         "train-froyo": [*data, "--classifier", artifacts["classifier"], *FAST_TRAIN],
         "train-duo": [*data, "--classifier", artifacts["classifier"], *FAST_TRAIN],
         "evaluate": [*data, "--classifier", artifacts["classifier"],
@@ -497,6 +499,9 @@ BOUNDARY_CASES = [
      EXIT_CHECK_FAILED, "contract violation:", "masks_per_input"),
     ("train-surrogate", ["--set", "side.reduction=0"],
      EXIT_CHECK_FAILED, "contract violation:", "reduction"),
+    ("train-explainer", ["--set", "side.reduction=8"],
+     EXIT_CHECK_FAILED, "contract violation:",
+     "side.reduction=8 differs from the surrogate's reduction 2"),
     ("count-params", ["--reduction", "0"],
      EXIT_CHECK_FAILED, "contract violation:", "reduction"),
     ("gen-data", ["--set", "data.n_samples=0"],
@@ -507,6 +512,8 @@ BOUNDARY_CASES = [
      EXIT_CHECK_FAILED, "contract violation:", "split"),
     ("gen-data", ["--set", "data.seed=-1"],
      EXIT_CHECK_FAILED, "contract violation:", "seed"),
+    ("gen-data", ["--set", "data.num_classes=5"],
+     EXIT_CHECK_FAILED, "contract violation:", "2 classes, not data.num_classes=5"),
     ("gen-data", ["--set", "data.kind=linear-logit", "--set", "data.num_classes=0"],
      EXIT_CHECK_FAILED, "contract violation:", "num_classes"),
     ("gen-data", ["--set", "data.kind=linear-logit", "--set", "data.d=0"],

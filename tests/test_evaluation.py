@@ -79,6 +79,18 @@ def test_large_d_uses_subsampled_steps():
     assert curve.insertion_auc == pytest.approx(d / 2, rel=1e-6)
 
 
+@pytest.mark.parametrize("curve", ["insertion", "deletion"])
+def test_value_fn_batch_size_is_checked_on_both_curves(curve):
+    """Insertion masks start empty and deletion masks full; one extra row on either fails."""
+    def value_fn(masks):
+        vals = masks.sum(axis=1)
+        wrong = masks[0].all() if curve == "deletion" else not masks[0].any()
+        return np.append(vals, 0.0) if wrong else vals
+
+    with pytest.raises(ContractError, match="wrong batch size"):
+        insertion_deletion(value_fn, np.arange(4.0))
+
+
 def test_insertion_rejects_batched_attribution():
     with pytest.raises(ContractError):
         insertion_deletion(lambda m: m.sum(axis=1), np.ones((2, 4)))

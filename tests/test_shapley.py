@@ -209,12 +209,6 @@ def test_equicardinality_sampler_covers_endpoints():
         assert abs((sizes == k).mean() - p) < 3 * sigma + 1e-3
 
 
-def test_equicardinality_paired():
-    rng = np.random.default_rng(1)
-    masks = sample_equicardinality_masks(6, 20, rng, paired=True)
-    np.testing.assert_allclose(masks[1::2], 1.0 - masks[0::2])
-
-
 # ---------------------------------------------------------------------------
 # KernelSHAP
 

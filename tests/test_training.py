@@ -317,7 +317,7 @@ def test_head_pipeline_unmasked_passes_per_step(trained_pair, block_state_masks,
 
 
 def test_head_explainer_model_shapes():
-    model = HeadExplainerModel(TINY_MODEL, seed=0)
+    model = HeadExplainerModel(MaskedTransformer(TINY_MODEL), seed=0)
     x = np.random.default_rng(3).standard_normal((2, 6, 3)).astype(np.float32)
     logits, raw = model.forward_both(x)
     assert logits.shape == (2, 2)
