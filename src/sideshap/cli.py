@@ -5,14 +5,17 @@ defaults < config file (``--config``) < explicit ``--set key=value`` flags.
 The effective configuration is written next to every produced artifact.
 
 Exit codes: 0 success, 1 usage error, 2 invariant/bound check failure
-(an out-of-range value or a diverged training run included), 3 I/O failure.
+(an out-of-range value, a diverged training run or a branch trained on
+another classifier included), 3 I/O failure (a malformed checkpoint included).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import sys
 import typing
 
@@ -33,6 +36,7 @@ from .sidenet import (
 from .training import (
     StageConfig,
     geometric_decay_experiment,
+    state_digest,
     surrogate_mask_values,
     train_classifier,
     train_duo,
@@ -219,13 +223,28 @@ def _load_classifier(path) -> MaskedTransformer:
     return model
 
 
-def _load_branch(path, classifier, role) -> SideTunedModel:
+def _load_branch(path, classifier, role, classifier_digest) -> SideTunedModel:
+    """The ``role`` branch at ``path``, built on ``classifier``.
+
+    A checkpoint's ``backbone_digest`` names the classifier state it was
+    trained on; only then is ``classifier_digest()`` called, and a mismatch
+    is a ContractError. A checkpoint without the key loads unchecked.
+    """
     ck = load_checkpoint(path, expected_role=role)
     if _config_block(ck, path, "model", ModelConfig) != classifier.config:
         raise ContractError(
             f"{role} {path} was trained on model {ck.config['model']}, "
             f"not on the classifier's {classifier.config.to_dict()}")
     side = _config_block(ck, path, "side", SideConfig)
+    if "backbone_digest" in ck.config:
+        bound = ck.config["backbone_digest"]
+        if not (isinstance(bound, str) and re.fullmatch("[0-9a-f]{64}", bound)):
+            raise CheckpointError(
+                f"{path}: backbone_digest {bound!r} is not 64 lowercase hex digits")
+        digest = classifier_digest()
+        if bound != digest:
+            raise ContractError(f"{role} {path} was trained on classifier state {bound}, "
+                                f"not on this classifier's {digest}")
     branch = SideTunedModel(classifier, side, seed=0)
     branch.load_side_state(ck.state)
     return branch
@@ -241,8 +260,10 @@ def _save_trained(path, role, state, record, cfg, **blocks):
 
 
 def _save_branch(path, branch: SideTunedModel, record, cfg):
+    """The branch, bound by ``backbone_digest`` to the classifier state it was trained on."""
     _save_trained(path, branch.side_config.role, branch.side_state_dict(), record, cfg,
-                  model=branch.backbone.config.to_dict(), side=branch.side_config.to_dict())
+                  model=branch.backbone.config.to_dict(), side=branch.side_config.to_dict(),
+                  backbone_digest=record.extra["backbone_digest"])
 
 
 def _check_residual(residual: float):
@@ -302,7 +323,8 @@ def cmd_train_explainer(args):
     cfg = effective_config({**TRAIN_DEFAULTS, **SIDE_DEFAULTS}, args)
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
-    surrogate = _load_branch(args.surrogate, classifier, ROLE_SURROGATE)
+    surrogate = _load_branch(args.surrogate, classifier, ROLE_SURROGATE,
+                             lambda: state_digest(classifier.state_dict()))
     if cfg["side.reduction"] != surrogate.side_config.reduction:
         raise ContractError(
             f"side.reduction={cfg['side.reduction']} differs from the surrogate's reduction "
@@ -337,8 +359,9 @@ def _run_head_pipeline(args):
 def _load_combined(args) -> tuple[CombinedModel, SyntheticDataset]:
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
-    surrogate = _load_branch(args.surrogate, classifier, ROLE_SURROGATE)
-    explainer = _load_branch(args.explainer, classifier, ROLE_EXPLAINER)
+    digest = functools.cache(lambda: state_digest(classifier.state_dict()))
+    surrogate = _load_branch(args.surrogate, classifier, ROLE_SURROGATE, digest)
+    explainer = _load_branch(args.explainer, classifier, ROLE_EXPLAINER, digest)
     return CombinedModel(classifier, surrogate, explainer), ds
 
 

@@ -23,7 +23,7 @@ from .transformer import (
     MsaBlock,
     block_param_count,
     by_kept_count,
-    class_row,
+    class_logits,
     load_named_state,
     named_layer_parameters,
     state_snapshot,
@@ -114,8 +114,7 @@ class SideTunedModel:
         return self.side_norm(z)  # (batch, tokens in the states, side_hidden)
 
     def _surrogate_head(self, backbone_states) -> Tensor:
-        seq = self._side_pass(backbone_states)
-        return self.head_layers[0](class_row(seq))
+        return class_logits(self.head_layers[0], self._side_pass(backbone_states))
 
     def surrogate_logits(self, tokens: np.ndarray, mask: np.ndarray | None,
                          backbone_states=None) -> Tensor:

@@ -193,7 +193,10 @@ def _check_frozen(model, before: str, stage: str):
             f"invariant violation: backbone parameters changed during {stage} training")
 
 
-def _chunked_logits(logits_fn, tokens, masks=None, chunk=256):
+_VALUE_CHUNK = 1024  # rows per value-function pass; it sets memory, never a row's bits
+
+
+def _chunked_logits(logits_fn, tokens, masks=None):
     """``logits_fn(tokens, masks)`` over row chunks, as one numpy array.
 
     ``logits_fn`` is a value function such as ``MaskedTransformer.forward``
@@ -202,9 +205,9 @@ def _chunked_logits(logits_fn, tokens, masks=None, chunk=256):
     """
     outs = []
     with ad.no_grad():
-        for start in range(0, len(tokens), chunk):
-            m = None if masks is None else masks[start:start + chunk]
-            outs.append(logits_fn(tokens[start:start + chunk], m).numpy())
+        for start in range(0, len(tokens), _VALUE_CHUNK):
+            m = None if masks is None else masks[start:start + _VALUE_CHUNK]
+            outs.append(logits_fn(tokens[start:start + _VALUE_CHUNK], m).numpy())
     return np.concatenate(outs, axis=0)
 
 
@@ -233,15 +236,9 @@ def train_classifier(dataset: SyntheticDataset, model_config: ModelConfig,
 
 
 def _classifier_val_loss(model, x_val, y_val):
-    total, n = 0.0, 0
-    c = model.config.num_classes
-    with ad.no_grad():
-        for start in range(0, len(x_val), 256):
-            xb, yb = x_val[start:start + 256], y_val[start:start + 256]
-            loss = _mse_class_loss(model.forward(xb), yb, c)
-            total += loss.item() * len(xb)
-            n += len(xb)
-    return total / n
+    """``_mse_class_loss`` of the classifier on the validation split, in float64."""
+    logits = _chunked_logits(model.forward, x_val).astype(np.float64)
+    return _mse_class_loss(Tensor(logits), y_val, model.config.num_classes).item()
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +291,7 @@ def surrogate_mask_values(surrogate: SideTunedModel, tokens_one: np.ndarray,
                           masks: np.ndarray) -> np.ndarray:
     """Surrogate class probabilities for one input under many masks."""
     rep = np.repeat(tokens_one[None], len(masks), axis=0)
-    return _softmax_np(_chunked_logits(surrogate.surrogate_logits, rep, masks, 512))
+    return _softmax_np(_chunked_logits(surrogate.surrogate_logits, rep, masks))
 
 
 def _softmax_np(logits):
@@ -329,18 +326,16 @@ def _regression_batch(logits_fn, v1, x, y, masks, m, label_mode):
     """``_shapley_regression_loss``'s masks, targets, diffs and weights for x under masks.
 
     ``v1`` is v(x_1) from the unmasked pass the caller already makes. Each
-    input's m masks are evaluated together with the empty mask in one
-    chunked pass of the value function ``logits_fn``. The weights are the
-    one-hot label (``label_mode == "label"``) or v(x_1).
+    input's m masks are evaluated in one chunked pass of the value function
+    ``logits_fn``. The empty mask reads no input token, so one one-row pass
+    gives every input's v(x_0). The weights are the one-hot label
+    (``label_mode == "label"``) or v(x_1).
     """
     n_in, d = len(x), masks.shape[1]
-    masks = masks.reshape(n_in, m, d)
-    stacked = np.concatenate([masks, np.zeros((n_in, 1, d))], axis=1).reshape(n_in * (m + 1), d)
-    logits = _chunked_logits(logits_fn, np.repeat(x, m + 1, axis=0), stacked, chunk=1024)
-    vals = _softmax_np(logits).reshape(n_in, m + 1, -1)
-    v0 = vals[:, m, :]
+    vals = _softmax_np(_chunked_logits(logits_fn, np.repeat(x, m, axis=0), masks))
+    v0 = _softmax_np(_chunked_logits(logits_fn, x[:1], np.zeros((1, d))))  # (1, C)
     weights = np.eye(v1.shape[1], dtype=np.float64)[y] if label_mode == "label" else v1
-    return masks, vals[:, :m, :] - v0[:, None, :], v1 - v0, weights
+    return masks.reshape(n_in, m, d), vals.reshape(n_in, m, -1) - v0, v1 - v0, weights
 
 
 def _explainer_batch(surrogate: SideTunedModel, x, y, masks, m, label_mode):
@@ -408,6 +403,7 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
     record = _fit("explainer", config, rng, len(x_train), config.inputs_per_batch,
                   explainer.named_side_parameters(), step_loss, val_loss)
     _check_frozen(surrogate.backbone, backbone_before, "explainer")
+    record.extra["backbone_digest"] = backbone_before
     return explainer, record
 
 

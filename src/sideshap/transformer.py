@@ -146,14 +146,29 @@ def load_named_state(named: dict, state: dict):
 
 
 def token_batch(tokens: np.ndarray) -> np.ndarray:
-    """``tokens`` as a float32 batch; one (d, token_input_dim) sequence becomes a batch of 1."""
+    """``tokens`` as a float32 (batch, d, token_input_dim) batch of at least one row.
+
+    One (d, token_input_dim) sequence becomes a batch of 1; any other shape
+    is a ContractError.
+    """
     tokens = np.asarray(tokens, dtype=np.float32)
-    return tokens[None] if tokens.ndim == 2 else tokens
+    if tokens.ndim == 2:
+        tokens = tokens[None]
+    if tokens.ndim != 3 or not len(tokens):
+        raise ContractError(
+            f"tokens of shape {tokens.shape} are not a (batch, d, token_input_dim) "
+            f"batch with at least one row")
+    return tokens
 
 
-def class_row(seq: Tensor) -> Tensor:
-    """The class token's row of each sequence: (batch, tokens, width) -> (batch, width)."""
-    return ad.reshape(ad.narrow(seq, 1, 0, 1), (seq.shape[0], seq.shape[2]))
+def class_logits(head, seq: Tensor) -> Tensor:
+    """``head`` on each sequence's class token: (batch, tokens, width) -> (batch, C).
+
+    ``head`` runs on the (batch, 1, width) slice, a stack of one-row
+    products, so each row's logits are the same bits in any batch.
+    """
+    out = head(ad.narrow(seq, 1, 0, 1))
+    return ad.reshape(out, (seq.shape[0], out.shape[2]))
 
 
 def masked_batch(tokens: np.ndarray, mask: np.ndarray, num_tokens: int):
@@ -166,7 +181,9 @@ def masked_batch(tokens: np.ndarray, mask: np.ndarray, num_tokens: int):
     mask = np.asarray(mask)
     if mask.ndim == 1:
         mask = mask[None, :]
-    if mask.ndim != 2 or mask.shape[-1] != num_tokens:
+    if mask.ndim != 2:
+        raise ContractError(f"mask of shape {mask.shape} has rank {mask.ndim}, not 1 or 2")
+    if mask.shape[-1] != num_tokens:
         raise ContractError(
             f"mask length {mask.shape[-1]} != num_tokens {num_tokens}")
     if not np.all((mask == 0) | (mask == 1)):
@@ -272,7 +289,7 @@ class MaskedTransformer:
         return states
 
     def logits_from_state(self, final_state: Tensor) -> Tensor:
-        return self.head(self.final_norm(class_row(final_state)))
+        return class_logits(lambda cls: self.head(self.final_norm(cls)), final_state)
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Class logits for a (batch of) token sequence(s) under mask s."""

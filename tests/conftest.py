@@ -5,7 +5,7 @@ import pytest
 
 import sideshap.autodiff as ad
 from sideshap.autodiff import ContractError, Tensor
-from sideshap.transformer import MaskedTransformer
+from sideshap.transformer import MaskedTransformer, class_logits
 
 
 def fd_gradient(build_loss, values, eps=1e-6):
@@ -158,9 +158,7 @@ def key_bias_surrogate_logits(surrogate, tokens, mask):
                                     key_bias_states(surrogate.backbone, tokens, mask)):
         tap = tap_fc(state)
         z = key_bias_block(block, tap if z is None else z + tap, bias)
-    seq = surrogate.side_norm(z)
-    cls = ad.reshape(ad.narrow(seq, 1, 0, 1), (seq.shape[0], seq.shape[2]))
-    return surrogate.head_layers[0](cls)
+    return class_logits(surrogate.head_layers[0], surrogate.side_norm(z))
 
 
 def mixed_masks(rng, n, d):

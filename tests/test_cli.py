@@ -249,6 +249,65 @@ def test_explain_rejects_branch_of_another_model(pipeline_artifacts, capsys, tmp
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def other_classifier(pipeline_artifacts, tmp_path_factory):
+    """A classifier of the pipeline's shape, trained with another seed."""
+    path = str(tmp_path_factory.mktemp("other_classifier") / "b.ckpt")
+    assert main(["train-classifier", "--data", pipeline_artifacts["data"], "--out", path,
+                 *FAST_MODEL, *FAST_TRAIN, "--set", "train.seed=1"]) == EXIT_OK
+    return path
+
+
+def _state_digest(path):
+    from sideshap.checkpoint import load_checkpoint
+    from sideshap.training import state_digest
+
+    return state_digest(load_checkpoint(path).state)
+
+
+def test_branches_name_their_classifier(pipeline_artifacts):
+    from sideshap.checkpoint import load_checkpoint
+
+    digest = _state_digest(pipeline_artifacts["classifier"])
+    for role in ("surrogate", "explainer"):
+        assert load_checkpoint(pipeline_artifacts[role]).config["backbone_digest"] == digest
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate", "train-explainer"])
+def test_branch_of_another_classifier_exits_2(pipeline_artifacts, other_classifier, capsys,
+                                              tmp_path, monkeypatch, command):
+    monkeypatch.setenv("SIDESHAP_OUTDIR", str(tmp_path))
+    data = ["--data", pipeline_artifacts["data"], "--classifier", other_classifier,
+            "--surrogate", pipeline_artifacts["surrogate"]]
+    flags = {"explain": ["--explainer", pipeline_artifacts["explainer"]],
+             "evaluate": ["--explainer", pipeline_artifacts["explainer"], "--samples", "2"],
+             "train-explainer": ["--set", "side.reduction=2", *FAST_TRAIN]}[command]
+    code, out, err = run(capsys, command, *data, *flags)
+    assert code == EXIT_CHECK_FAILED
+    assert err.startswith("contract violation:") and len(err.splitlines()) == 1
+    assert _state_digest(pipeline_artifacts["classifier"]) in err
+    assert _state_digest(other_classifier) in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_branch_without_backbone_digest_loads_unchecked(pipeline_artifacts, other_classifier,
+                                                        capsys, tmp_path):
+    from sideshap.checkpoint import load_checkpoint, save_checkpoint
+
+    artifacts = dict(pipeline_artifacts, classifier=other_classifier)
+    for role in ("surrogate", "explainer"):
+        ck = load_checkpoint(pipeline_artifacts[role])
+        artifacts[role] = str(tmp_path / f"{role}.ckpt")
+        save_checkpoint(artifacts[role], role,
+                        {k: v for k, v in ck.config.items() if k != "backbone_digest"},
+                        ck.state)
+    code, _, err = _explain(capsys, artifacts, pipeline_artifacts["data"], 3,
+                            tmp_path / "exp.json")
+    assert code == EXIT_OK
+    assert err == ""
+
+
 def test_evaluate_reports_aucs(pipeline_artifacts, capsys, tmp_path):
     code, stdout, _ = run(capsys, "evaluate",
                           "--data", pipeline_artifacts["data"],
@@ -371,6 +430,10 @@ def _malformed_checkpoint(artifacts, path, case):
         config["model"] = {k: v for k, v in config["model"].items() if k != "heads"}
     elif case == "model block of wrong type":
         config["model"] = dict(config["model"], depth="2")
+    elif case == "side backbone_digest not hex":
+        config["backbone_digest"] = "g" * 64
+    elif case == "side backbone_digest not a string":
+        config["backbone_digest"] = None
     else:
         config["side"] = {"reduction": 2}
     save_checkpoint(path, role, config, ck.state)
@@ -378,7 +441,8 @@ def _malformed_checkpoint(artifacts, path, case):
 
 @pytest.mark.parametrize("case", [
     "role not UTF-8", "config not a JSON object", "no model block",
-    "incomplete model block", "model block of wrong type", "incomplete side block"])
+    "incomplete model block", "model block of wrong type", "incomplete side block",
+    "side backbone_digest not hex", "side backbone_digest not a string"])
 def test_malformed_checkpoint_exits_3(pipeline_artifacts, capsys, tmp_path, case):
     bad = str(tmp_path / "bad.ckpt")
     _malformed_checkpoint(pipeline_artifacts, bad, case)

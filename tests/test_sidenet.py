@@ -94,7 +94,49 @@ def test_compacted_surrogate_matches_key_bias():
     ref = key_bias_surrogate_logits(sur, x, mask).numpy()
     assert np.abs(y - ref).max() <= 1e-5
     perm = rng.permutation(240)  # other groupings, same rows
-    assert np.abs(sur.surrogate_logits(x[perm], mask[perm]).numpy() - y[perm]).max() <= 1e-5
+    assert np.array_equal(sur.surrogate_logits(x[perm], mask[perm]).numpy(), y[perm])
+
+
+def full_width_combined(seed=0):
+    """A combined model whose branches are as wide as the backbone (reduction 1)."""
+    backbone = MaskedTransformer(TOY, seed=seed)
+    surrogate = SideTunedModel(backbone, SideConfig(reduction=1), seed=seed + 1)
+    return CombinedModel(backbone, surrogate, make_explainer_from_surrogate(surrogate, seed + 2))
+
+
+def test_masked_surrogate_rows_are_batch_independent():
+    """Masks of mixed |s| in one batch: each row gets the bits of its own call."""
+    sur = full_width_combined().surrogate
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((60, 8, 5)).astype(np.float32)
+    mask = mixed_masks(rng, 60, 8)
+    single = np.concatenate([sur.surrogate_logits(x[i], mask[i]).numpy() for i in range(60)])
+    assert np.array_equal(sur.surrogate_logits(x, mask).numpy(), single)
+
+
+def test_empty_coalition_rows_are_identical():
+    """The empty mask reads no input token, so 37 inputs give 37 identical rows."""
+    sur = full_width_combined().surrogate
+    x = np.random.default_rng(10).standard_normal((37, 8, 5)).astype(np.float32)
+    v0 = sur.surrogate_logits(x, np.zeros((37, 8))).numpy()
+    assert np.all(v0 == v0[0])
+
+
+def test_explain_rows_are_batch_independent():
+    """Logits and attributions of a batch are its single-row calls' bits, and the
+    batch residual is the largest single residual."""
+    combined = full_width_combined()
+    x = np.random.default_rng(11).standard_normal((20, 8, 5)).astype(np.float32)
+    logits, phi, residual = combined.explain(x)
+    singles = [combined.explain(row) for row in x]
+    assert np.array_equal(logits, np.concatenate([s[0] for s in singles]))
+    assert np.array_equal(phi, np.concatenate([s[1] for s in singles]))
+    assert residual == max(s[2] for s in singles)
+
+
+def test_explain_rejects_an_empty_batch():
+    with pytest.raises(ContractError, match="at least one row"):
+        full_width_combined().explain(np.zeros((0, 8, 5)))
 
 
 def test_compacted_surrogate_gradients_match_key_bias():

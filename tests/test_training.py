@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax as sp_softmax
 
+from sideshap import training
 from sideshap.autodiff import ContractError, OptimizerConfig
 from sideshap.data import generate_dataset
 from sideshap.shapley import sample_subsets, shapley_kernel
@@ -192,7 +193,8 @@ def test_explainer_mask_bank_mode(trained_pair):
     assert len(rec.val_losses) == 3
 
 
-def test_chunked_logits_records_no_graph(trained_pair):
+def test_chunked_logits_records_no_graph(trained_pair, monkeypatch):
+    monkeypatch.setattr(training, "_VALUE_CHUNK", 4)
     ds, _, sur = trained_pair
     x = ds.split("train")[0][:10]
     masks = np.ones((10, ds.d))
@@ -204,9 +206,36 @@ def test_chunked_logits_records_no_graph(trained_pair):
         returned.append(sur.surrogate_logits(tokens, mask))
         return returned[-1]
 
-    _chunked_logits(logits_fn, x, masks, chunk=4)
+    _chunked_logits(logits_fn, x, masks)
     assert len(returned) == 3
     assert not any(t._parents for t in returned)
+
+
+def test_training_is_independent_of_value_chunk(monkeypatch):
+    """Regrouping the value passes' rows moves no trained byte and no validation loss.
+
+    At hidden 32 a class head whose bits hang on the row count fails this.
+    """
+    ds = tiny_dataset(seed=3)
+    model = ModelConfig(depth=1, hidden=32, heads=2, num_tokens=6,
+                        token_input_dim=3, num_classes=2)
+
+    def train_all():
+        clf, rec = train_classifier(ds, model, quick_stage(epochs=2))
+        out = [(clf.state_dict(), rec)]
+        sur, rec = train_surrogate(clf, ds, quick_stage(epochs=2),
+                                   SideConfig(reduction=1, role=ROLE_SURROGATE))
+        out.append((sur.side_state_dict(), rec))
+        for bank in (0, 4):
+            exp, rec = train_explainer(sur, ds, quick_stage(epochs=2, mask_bank=bank))
+            out.append((exp.side_state_dict(), rec))
+        froyo, rec = train_froyo(clf, ds, quick_stage(epochs=2))
+        out.append((froyo.state_dict(), rec))
+        return [(state_digest(state), rec.val_losses) for state, rec in out]
+
+    want = train_all()
+    monkeypatch.setattr(training, "_VALUE_CHUNK", 7)
+    assert train_all() == want
 
 
 def test_explainer_builds_frozen_inputs_once(trained_pair, monkeypatch):
@@ -230,12 +259,16 @@ def test_explainer_builds_frozen_inputs_once(trained_pair, monkeypatch):
 
 def _stacked_value_targets(logits_fn, xb, yb, masks, m, num_classes, label_mode):
     """The reference form: the all-zeros and all-ones masks stacked with each
-    input's m masks in one masked pass, and the weights from a pass of their own."""
+    input's m masks in one masked pass, and the weights from a pass of their own.
+
+    Every input gets its own v(x_0) row here, so bit-equal targets and diffs
+    also show that the one v(x_0) row of ``_regression_batch`` is each input's.
+    """
     n_in, d = len(xb), masks.shape[1]
     extremes = np.broadcast_to(np.stack([np.zeros(d), np.ones(d)]), (n_in, 2, d))
     stacked = np.concatenate([masks.reshape(n_in, m, d), extremes],
                              axis=1).reshape(n_in * (m + 2), d)
-    logits = _chunked_logits(logits_fn, np.repeat(xb, m + 2, axis=0), stacked, chunk=1024)
+    logits = _chunked_logits(logits_fn, np.repeat(xb, m + 2, axis=0), stacked)
     vals = _softmax_np(logits).reshape(n_in, m + 2, -1)
     v0, v1 = vals[:, m, :], vals[:, m + 1, :]
     targets = vals[:, :m, :] - v0[:, None, :]

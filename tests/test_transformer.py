@@ -1,5 +1,7 @@
 """Masked transformer: removal semantics, counting, state handling."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -80,7 +82,14 @@ def test_compacted_forward_matches_key_bias(toy_model):
     ref = key_bias_logits(toy_model, x, mask).numpy()
     assert np.abs(y - ref).max() <= 1e-5
     perm = rng.permutation(240)  # other groupings, same rows
-    assert np.abs(toy_model.forward(x[perm], mask[perm]).numpy() - y[perm]).max() <= 1e-5
+    assert np.array_equal(toy_model.forward(x[perm], mask[perm]).numpy(), y[perm])
+
+
+def test_forward_rows_are_batch_independent(toy_model):
+    """Each row of a batch gets the bits of its own single-row call."""
+    x = np.random.default_rng(10).standard_normal((300, 8, 5)).astype(np.float32)
+    single = np.concatenate([toy_model.forward(row).numpy() for row in x])
+    assert np.array_equal(toy_model.forward(x).numpy(), single)
 
 
 def test_compacted_forward_gradients_match_key_bias():
@@ -235,6 +244,16 @@ def test_predict_proba_is_distribution(toy_model):
 def test_forward_rejects_wrong_token_count(toy_model):
     with pytest.raises(ContractError):
         toy_model.forward(np.zeros((1, 5, 5)))
+    # a wrong rank or no rows is named by its shape, with or without a mask
+    for shape in [(5,), (2, 8, 1, 5), (0, 8, 5)]:
+        for mask in (None, np.ones(8)):
+            with pytest.raises(ContractError, match=re.escape(f"shape {shape}")):
+                toy_model.forward(np.zeros(shape), mask)
+
+
+def test_mask_of_wrong_rank_is_named(toy_model):
+    with pytest.raises(ContractError, match="rank 3"):
+        toy_model.forward(np.zeros((1, 8, 5)), np.ones((1, 1, 8)))
 
 
 # ---------------------------------------------------------------------------
