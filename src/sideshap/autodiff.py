@@ -8,11 +8,11 @@ float32; float64 graphs are supported for tight finite-difference checks.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _SQRT_2 = np.sqrt(2.0)
+_ERF = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, object dtype out
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 # Abramowitz & Stegun 7.1.26: erf(z) ~ 1 - t P(t) exp(-z^2), t = 1/(1 + p z),
 # |error| <= 1.5e-7 for z >= 0. With z = x/sqrt(2), p is prescaled by
@@ -334,14 +335,14 @@ def square(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Erf-based GELU, x * Phi(x).
 
-    Float64 data uses the exact ``scipy.special.erf``. Float32 data stays in
+    Float64 data uses the exact ``math.erf`` elementwise. Float32 data stays in
     float32 and uses the Abramowitz & Stegun 7.1.26 erf (within 5e-7 of the
     exact GELU); its exp(-x^2/2) term is the normal density the backward
     pass needs, so it is computed once.
     """
     x = a.data
     if x.dtype != np.float32:
-        cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
+        cdf = 0.5 * (1.0 + np.asarray(_ERF(x / _SQRT_2), dtype=np.float64))
         out = x * cdf
 
         def grad_fn(g):

@@ -236,6 +236,8 @@ def _load_branch(path, classifier, role, classifier_digest) -> SideTunedModel:
             f"{role} {path} was trained on model {ck.config['model']}, "
             f"not on the classifier's {classifier.config.to_dict()}")
     side = _config_block(ck, path, "side", SideConfig)
+    if side.role != role:
+        raise CheckpointError(f"{path}: header role {role!r} but side.role {side.role!r}")
     if "backbone_digest" in ck.config:
         bound = ck.config["backbone_digest"]
         if not (isinstance(bound, str) and re.fullmatch("[0-9a-f]{64}", bound)):

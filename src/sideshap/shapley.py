@@ -10,10 +10,10 @@ All probability and value arithmetic here is float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 __all__ = [
     "Game", "ShapleyKernelDist", "SecondMomentMatrix",
@@ -34,6 +34,12 @@ def harmonic(n: int) -> float:
     if n < 1:
         raise ValueError("harmonic requires n >= 1")
     return float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
+
+
+def _binomials(n: int, ks) -> np.ndarray:
+    """C(n, k) for each k, rounded to float64; inf where it rounds up to 2^1024 (n >= 1030)."""
+    combs = [math.comb(n, k) for k in ks]
+    return np.array([float(c) if c < 2 ** 1024 - 2 ** 970 else math.inf for c in combs])
 
 
 def all_subsets(d: int) -> np.ndarray:
@@ -102,7 +108,7 @@ def exact_shapley(game: Game) -> np.ndarray:
     subsets = all_subsets(d)
     values = np.asarray(game.evaluate(subsets), dtype=np.float64).reshape(len(subsets), -1)
     sizes = subsets.sum(axis=1).astype(np.int64)
-    inv_binom = 1.0 / comb(d - 1, np.arange(d), exact=False)
+    inv_binom = 1.0 / _binomials(d - 1, range(d))
     phi = np.zeros((d, values.shape[1]), dtype=np.float64)
     indices = np.arange(2 ** d)
     for i in range(d):
@@ -131,7 +137,7 @@ def shapley_kernel(d: int) -> ShapleyKernelDist:
     q_unnorm = (d - 1.0) / (k * (d - k))  # summed over subsets of size k
     normalizer = float(q_unnorm.sum())
     cardinality = q_unnorm / normalizer
-    per_subset = cardinality / comb(d, k, exact=False)
+    per_subset = cardinality / _binomials(d, range(1, d))
     return ShapleyKernelDist(d=d, per_subset=per_subset,
                              cardinality=cardinality, normalizer=normalizer)
 

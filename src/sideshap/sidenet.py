@@ -196,8 +196,8 @@ class CombinedModel:
         """Prediction plus efficiency-normalized attributions for all classes.
 
         The backbone runs once: v(x_1) is the surrogate on the same unmasked
-        states (an all-ones mask is bit-equal to no mask), and v(x_0) is a
-        pass over the class token alone. No autodiff graph is recorded.
+        states (an all-ones mask is bit-equal to no mask), and v(x_0) is one
+        row's pass over the class token alone. No autodiff graph is recorded.
         Returns (logits, normalized attribution (batch, d, C), residual).
         """
         from .shapley import efficiency_normalize_grid
@@ -209,8 +209,8 @@ class CombinedModel:
             raw = self.explainer.explainer_raw(tokens, backbone_states=states).numpy()
             v1 = ad.softmax(self.surrogate.surrogate_logits(
                 tokens, None, backbone_states=states)).numpy()  # (b, C)
-            zeros = np.zeros(tokens.shape[:2], dtype=np.float32)  # the empty mask, (b, d)
-            v0 = self.surrogate.surrogate_forward(tokens, zeros)
+            empty = np.zeros((1, tokens.shape[1]), dtype=np.float32)  # reads no input token
+            v0 = self.surrogate.surrogate_forward(tokens[:1], empty)  # (1, C), every row's v(x_0)
         normalized = efficiency_normalize_grid(raw, v1, v0)
         residual = np.abs(normalized.sum(axis=1) - (v1 - v0)).max()
         return logits, normalized, float(residual)

@@ -460,6 +460,31 @@ def test_malformed_checkpoint_exits_3(pipeline_artifacts, capsys, tmp_path, case
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["explain", "train-explainer"])
+def test_branch_header_role_disagreeing_with_side_role_exits_3(
+        pipeline_artifacts, capsys, tmp_path, monkeypatch, command):
+    from sideshap.checkpoint import load_checkpoint, save_checkpoint
+
+    # the explainer's own config and state, under a "surrogate" header
+    ck = load_checkpoint(pipeline_artifacts["explainer"])
+    bad = str(tmp_path / "bad.ckpt")
+    save_checkpoint(bad, "surrogate", ck.config, ck.state)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    monkeypatch.setenv("SIDESHAP_OUTDIR", str(outdir))
+    flags = {"explain": ["--explainer", pipeline_artifacts["explainer"]],
+             "train-explainer": ["--set", "side.reduction=2", *FAST_TRAIN]}[command]
+    code, out, err = run(capsys, command, "--data", pipeline_artifacts["data"],
+                         "--classifier", pipeline_artifacts["classifier"],
+                         "--surrogate", bad, *flags)
+    assert code == EXIT_IO
+    assert err.startswith("i/o error:") and "bad.ckpt" in err
+    assert "'surrogate'" in err and "'explainer'" in err
+    assert len(err.splitlines()) == 1
+    assert out == ""
+    assert list(outdir.iterdir()) == []
+
+
 @pytest.mark.parametrize("case", ["not an npz", "npz without meta"])
 def test_malformed_dataset_exits_3(pipeline_artifacts, capsys, tmp_path, case):
     data = tmp_path / "bad.npz"

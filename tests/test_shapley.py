@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sideshap import shapley
 from sideshap.shapley import (
+    MAX_EXACT_PLAYERS,
     BudgetError,
     Game,
     all_subsets,
@@ -313,3 +315,49 @@ def test_harmonic_values():
 def test_all_subsets_bitmask_roundtrip():
     s = all_subsets(5)
     np.testing.assert_array_equal(masks_to_bitmask(s), np.arange(32))
+
+
+# ---------------------------------------------------------------------------
+# binomials: scipy.special.comb(exact=False) as the oracle
+
+
+def scipy_binomials(n, ks):
+    from scipy.special import comb
+
+    return comb(n, np.array(list(ks)), exact=False)
+
+
+def test_binomials_bit_equal_to_scipy_in_the_exact_oracle_range():
+    for d in range(2, MAX_EXACT_PLAYERS + 1):
+        for n, ks in ((d - 1, range(d)), (d, range(1, d))):
+            assert np.array_equal(shapley._binomials(n, ks), scipy_binomials(n, ks)), (n, ks)
+
+
+@pytest.mark.parametrize("d", range(2, 15))
+def test_exact_shapley_bit_equal_with_scipy_binomials(d, monkeypatch):
+    table = np.random.default_rng(d).standard_normal((2 ** d, 2))
+    ours = exact_shapley(table_game(d, table))
+    monkeypatch.setattr(shapley, "_binomials", scipy_binomials)
+    assert np.array_equal(ours, exact_shapley(table_game(d, table)))
+
+
+def test_second_moment_matrix_bit_equal_with_scipy_binomials(monkeypatch):
+    ours = [second_moment_matrix(d) for d in range(2, 17)]
+    monkeypatch.setattr(shapley, "_binomials", scipy_binomials)
+    for d, m in zip(range(2, 17), ours):
+        ref = second_moment_matrix(d)
+        assert np.array_equal(m.matrix, ref.matrix), d
+        assert m.lambda_min_closed_form == ref.lambda_min_closed_form, d
+
+
+def test_kernel_where_binomials_overflow_float64():
+    """From d = 1030 some C(d, k) pass the float range: p_k is 0 there, as with scipy."""
+    d = 1100
+    dist = shapley_kernel(d)
+    ref = dist.cardinality / scipy_binomials(d, range(1, d))
+    assert (ref == 0).any()
+    assert np.array_equal(dist.per_subset == 0, ref == 0)
+    np.testing.assert_allclose(dist.per_subset, ref, rtol=1e-11)
+    masks = sample_subsets(dist, 64, True, seed_or_rng=0)
+    sizes = masks.sum(axis=1)
+    assert masks.shape == (64, d) and sizes.min() >= 1 and sizes.max() <= d - 1

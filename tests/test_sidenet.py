@@ -134,6 +134,23 @@ def test_explain_rows_are_batch_independent():
     assert residual == max(s[2] for s in singles)
 
 
+def test_explain_empty_coalition_pass_sees_one_row(monkeypatch):
+    combined = full_width_combined()
+    surrogate = combined.surrogate
+    masked_rows = []
+
+    def recording_logits(tokens, mask, backbone_states=None):
+        if mask is not None:
+            masked_rows.append((len(tokens), np.shape(mask)))
+        return SideTunedModel.surrogate_logits(surrogate, tokens, mask, backbone_states)
+
+    monkeypatch.setattr(surrogate, "surrogate_logits", recording_logits)
+    x = np.random.default_rng(12).standard_normal((5, 8, 5)).astype(np.float32)
+    _, phi, residual = combined.explain(x)
+    assert masked_rows == [(1, (1, 8))]
+    assert phi.shape == (5, 8, 3) and residual < 1e-5
+
+
 def test_explain_rejects_an_empty_batch():
     with pytest.raises(ContractError, match="at least one row"):
         full_width_combined().explain(np.zeros((0, 8, 5)))

@@ -388,3 +388,55 @@ def test_geometric_decay_bound_holds():
 def test_decay_gap_monotone_nonincreasing():
     result = geometric_decay_experiment(seed=3, steps=80)
     assert np.all(np.diff(result["gaps"]) <= 1e-12)
+
+
+def decay_problem(seed):
+    """geometric_decay_experiment's data as (loss, grad), for the scipy reference."""
+    n, p = 64, 3
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    w_ref = rng.standard_normal(p)
+    t1 = np.clip(1.0 / (1.0 + np.exp(-(x @ w_ref + 0.3 * rng.standard_normal(n)))), 0.05, 0.95)
+
+    def loss(w):
+        p1 = 1.0 / (1.0 + np.exp(-(x @ w)))
+        return float(np.mean(t1 * np.log(t1 / p1) + (1 - t1) * np.log((1 - t1) / (1 - p1))))
+
+    def grad(w):
+        p1 = 1.0 / (1.0 + np.exp(-(x @ w)))
+        return (x * (p1 - t1)[:, None]).mean(axis=0)
+
+    return loss, grad
+
+
+def hessian_fd(grad, w, h=1e-5):
+    """Central-difference Hessian of ``grad``'s function, symmetrized."""
+    out = np.zeros((len(w), len(w)))
+    for j in range(len(w)):
+        e = np.zeros(len(w))
+        e[j] = h
+        out[:, j] = (grad(w + e) - grad(w - e)) / (2 * h)
+    return 0.5 * (out + out.T)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_decay_optimum_and_mu_match_the_scipy_reference(seed):
+    """Newton's optimum is BFGS's, and the analytic-Hessian mu is the
+    finite-difference one, over the same GD iterates."""
+    from scipy.optimize import minimize
+
+    steps = 200
+    result = geometric_decay_experiment(seed=seed, steps=steps)
+    loss, grad = decay_problem(seed)
+    w_star = result["w_star"]
+    assert np.abs(grad(w_star)).max() <= 1e-15
+    w = np.zeros(3)
+    iterates = [w]
+    for _ in range(steps):
+        w = w - result["alpha"] * grad(w)
+        iterates.append(w)
+    bfgs = minimize(loss, w, jac=grad, method="BFGS", tol=1e-14)
+    assert abs(loss(w_star) - loss(bfgs.x)) <= 1e-16
+    mu_fd = min(np.linalg.eigvalsh(hessian_fd(grad, wi))[0]
+                for wi in iterates[:: steps // 50] + [w_star])
+    assert abs(result["mu"] - mu_fd) <= 1e-9
