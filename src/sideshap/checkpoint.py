@@ -46,9 +46,11 @@ def fnv1a_64(data: bytes) -> int:
 
 @dataclass
 class CheckpointData:
+    """A loaded checkpoint; ``state`` holds read-only float32 views of the file's bytes."""
+
     role: str
     config: dict
-    state: dict  # name -> float32 ndarray
+    state: dict  # name -> float32 ndarray; a model copies it when it loads it
     version: int = FORMAT_VERSION
 
 
@@ -127,8 +129,7 @@ def load_checkpoint(path, expected_role: str | None = None) -> CheckpointData:
             raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
-        state[name] = arr
+        state[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
     if off != len(body):
         raise CheckpointError(f"{path}: trailing bytes in checkpoint")
     return CheckpointData(role=role, config=config, state=state, version=version)

@@ -103,6 +103,8 @@ def _check_contents(ds: SyntheticDataset):
     for name, idx in ds.splits.items():
         if not _is_index_array(idx, n):
             raise ValueError(f"split {name!r} is not 1-D integer indices in [0, {n})")
+        if not idx.size:
+            raise ValueError(f"split {name!r} has no rows")
 
 
 def _meta_bytes(kind, seed, params) -> bytes:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError
-from .shapley import harmonic
+from .shapley import harmonic, prefix_masks
 from .sidenet import ROLE_EXPLAINER, ROLE_SURROGATE, SideConfig, count_side_params
 from .transformer import ModelConfig, count_params
 
@@ -40,7 +40,8 @@ def ranking_order(attribution: np.ndarray) -> np.ndarray:
 def insertion_deletion(value_fn, attribution: np.ndarray) -> InsertionDeletionCurve:
     """Insertion and deletion curves for one input.
 
-    value_fn(masks) maps an (m, d) mask batch to (m,) target-class values.
+    value_fn(masks) maps an (m, d) mask batch to (m,) target-class values; it
+    is called once, on the insertion masks stacked over the deletion masks.
     Insertion reveals features most-important-first starting from the empty
     coalition; deletion removes them from the full one. Every feature count is
     a step when d <= 64, otherwise 64 evenly spaced counts are used.
@@ -56,16 +57,11 @@ def insertion_deletion(value_fn, attribution: np.ndarray) -> InsertionDeletionCu
     else:
         counts = np.unique(np.round(np.linspace(0, d, 65)).astype(int))
 
-    ins_masks = np.zeros((len(counts), d), dtype=np.float64)
-    del_masks = np.ones((len(counts), d), dtype=np.float64)
-    for row, k in enumerate(counts):
-        ins_masks[row, order[:k]] = 1.0
-        del_masks[row, order[:k]] = 0.0
-
-    ins_vals = np.asarray(value_fn(ins_masks), dtype=np.float64).reshape(-1)
-    del_vals = np.asarray(value_fn(del_masks), dtype=np.float64).reshape(-1)
-    if ins_vals.shape[0] != len(counts) or del_vals.shape[0] != len(counts):
+    masks = prefix_masks(np.broadcast_to(order, (len(counts), d)), counts)
+    vals = np.asarray(value_fn(np.concatenate([masks, 1.0 - masks])), dtype=np.float64).reshape(-1)
+    if vals.shape[0] != 2 * len(counts):
         raise ContractError("value_fn returned wrong batch size")
+    ins_vals, del_vals = np.split(vals, 2)
 
     frac = counts / d
     return InsertionDeletionCurve(
@@ -201,8 +197,8 @@ def efficiency_report(config: ModelConfig, reduction: int = 8) -> EfficiencyRepo
 
     The "combined" figure counts the classifier plus the explainer branch on
     the shared backbone pass. ``CombinedModel.explain`` also runs the
-    surrogate branch on that pass, for v(x_1), and a class-token-only pass of
-    backbone and surrogate, for v(x_0); neither is counted here.
+    surrogate branch on that pass, for v(x_1), which is not counted here;
+    v(x_0) is computed once, when the ``CombinedModel`` is built.
     """
     sur = SideConfig(reduction=reduction, role=ROLE_SURROGATE)
     exp = SideConfig(reduction=reduction, role=ROLE_EXPLAINER)

@@ -18,7 +18,7 @@ import numpy as np
 __all__ = [
     "Game", "ShapleyKernelDist", "SecondMomentMatrix",
     "harmonic", "exact_shapley", "shapley_kernel", "sample_subsets",
-    "sample_equicardinality_masks", "kernelshap", "efficiency_normalize",
+    "sample_equicardinality_masks", "prefix_masks", "kernelshap", "efficiency_normalize",
     "efficiency_normalize_grid", "second_moment_matrix",
 ]
 
@@ -163,22 +163,21 @@ def sample_equicardinality_masks(d: int, n: int, rng: np.random.Generator) -> np
     return _fill_and_pair(ks, d, False, rng)
 
 
+def prefix_masks(orders, ks) -> np.ndarray:
+    """Float64 0/1 rows; row r keeps the first ``ks[r]`` players of permutation ``orders[r]``."""
+    return (np.argsort(orders, axis=-1) < np.asarray(ks)[:, None]).astype(np.float64)
+
+
 def _fill_and_pair(ks, d: int, paired: bool, rng: np.random.Generator) -> np.ndarray:
     """One uniform subset of each size in ``ks``; paired output interleaves complements.
 
     An empty subset draws no permutation, so the generator's stream depends
     only on the nonzero sizes.
     """
-    masks = np.zeros((len(ks), d), dtype=np.float64)
-    for i, k in enumerate(ks):
-        if k:
-            masks[i, rng.permutation(d)[:k]] = 1.0
-    if not paired:
-        return masks
-    out = np.empty((2 * len(ks), d), dtype=np.float64)
-    out[0::2] = masks
-    out[1::2] = 1.0 - masks
-    return out
+    orders = np.tile(np.arange(d), (len(ks), 1))
+    orders[ks > 0] = rng.permuted(orders[ks > 0], axis=1)  # as one rng.permutation(d) per row
+    masks = prefix_masks(orders, ks)
+    return np.stack([masks, 1.0 - masks], axis=1).reshape(-1, d) if paired else masks
 
 
 def efficiency_normalize(raw: np.ndarray, v1, v0) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, Tensor
+from .shapley import efficiency_normalize_grid
 from .transformer import (
     Linear,
     LayerNorm,
@@ -177,7 +178,9 @@ class CombinedModel:
     Shares one backbone between the original classification head, the
     surrogate branch (used as the value function for masked inputs) and the
     explainer branch. y_main is produced by the untouched classifier path,
-    so it is bit-identical to the standalone classifier output.
+    so it is bit-identical to the standalone classifier output. The
+    classifier and both branches are frozen once wrapped: ``v0``, the
+    surrogate's (1, C) v(x_0), is computed here, once.
     """
 
     def __init__(self, classifier: MaskedTransformer, surrogate: SideTunedModel,
@@ -191,17 +194,19 @@ class CombinedModel:
         self.classifier = classifier
         self.surrogate = surrogate
         self.explainer = explainer
+        c = classifier.config
+        with ad.no_grad():  # the empty coalition reads no input token: one row serves all
+            self.v0 = surrogate.surrogate_forward(
+                np.zeros((1, c.num_tokens, c.token_input_dim)), np.zeros((1, c.num_tokens)))
 
     def explain(self, tokens: np.ndarray):
         """Prediction plus efficiency-normalized attributions for all classes.
 
         The backbone runs once: v(x_1) is the surrogate on the same unmasked
-        states (an all-ones mask is bit-equal to no mask), and v(x_0) is one
-        row's pass over the class token alone. No autodiff graph is recorded.
+        states (an all-ones mask is bit-equal to no mask), and v(x_0) is ``v0``.
+        No autodiff graph is recorded.
         Returns (logits, normalized attribution (batch, d, C), residual).
         """
-        from .shapley import efficiency_normalize_grid
-
         tokens = token_batch(tokens)
         with ad.no_grad():
             states = self.classifier.block_states(tokens, None)
@@ -209,10 +214,8 @@ class CombinedModel:
             raw = self.explainer.explainer_raw(tokens, backbone_states=states).numpy()
             v1 = ad.softmax(self.surrogate.surrogate_logits(
                 tokens, None, backbone_states=states)).numpy()  # (b, C)
-            empty = np.zeros((1, tokens.shape[1]), dtype=np.float32)  # reads no input token
-            v0 = self.surrogate.surrogate_forward(tokens[:1], empty)  # (1, C), every row's v(x_0)
-        normalized = efficiency_normalize_grid(raw, v1, v0)
-        residual = np.abs(normalized.sum(axis=1) - (v1 - v0)).max()
+        normalized = efficiency_normalize_grid(raw, v1, self.v0)
+        residual = np.abs(normalized.sum(axis=1) - (v1 - self.v0)).max()
         return logits, normalized, float(residual)
 
 

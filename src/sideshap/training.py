@@ -267,11 +267,12 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
     val_masks = sample_equicardinality_masks(d, n_val * 4, val_rng)
     val_x = np.repeat(x_sel, 4, axis=0)
     val_p = np.repeat(_chunked_logits(classifier.forward, x_sel), 4, axis=0)
+    train_p = ad.softmax(Tensor(_chunked_logits(classifier.forward, x_train))).numpy()
 
     def step_loss(idx):
         xb = x_train[idx]
         masks = sample_equicardinality_masks(d, len(idx) * m, rng)
-        target = np.repeat(classifier.predict_proba(xb), m, axis=0)
+        target = np.repeat(train_p[idx], m, axis=0)
         return _kl_loss_graph(target, model.surrogate_logits(np.repeat(xb, m, axis=0), masks))
 
     record = _fit("surrogate", config, rng, len(x_train), config.inputs_per_batch,
@@ -452,9 +453,9 @@ def _head_explainer_loss(raw: Tensor, v1, classifier: MaskedTransformer, xb, yb,
                          config: StageConfig, dist, rng) -> Tensor:
     """Shapley regression loss of ``raw`` on fresh paired kernel draws from ``dist``.
 
-    ``v1`` is v(x_1), which the caller reads from a pass it already makes.
     The value function is ``classifier``, which no head pipeline moves, so
-    the targets do not drift as a trained encoder moves.
+    the targets do not drift as a trained encoder moves; ``v1`` is its
+    v(x_1), which the stage computes once.
     """
     m = config.masks_per_input
     masks = sample_subsets(dist, len(xb) * m, True, rng)
@@ -471,12 +472,13 @@ def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     rng = np.random.default_rng(config.seed)
     dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")
+    v1 = _softmax_np(_chunked_logits(classifier.forward, x_train))  # v(x_1), once per stage
 
     def step_loss(idx):
         xb = x_train[idx]
-        logits, raw = model.forward_both(xb)  # a frozen byte copy's logits give v(x_1)
-        return _head_explainer_loss(raw, _softmax_np(logits.numpy()), classifier, xb,
-                                    y_train[idx], config, dist, rng)
+        _, raw = model.forward_both(xb)
+        return _head_explainer_loss(raw, v1[idx], classifier, xb, y_train[idx],
+                                    config, dist, rng)
 
     record = _fit("froyo", config, rng, len(x_train), config.inputs_per_batch,
                   model.expl_head_parameters(), step_loss)
@@ -511,15 +513,14 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     conflict_trace = []
     dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")
+    v1 = _softmax_np(_chunked_logits(classifier.forward, x_train))  # v(x_1), once per stage
 
     def step_loss(idx):
         xb, yb = x_train[idx], y_train[idx]
         logits, raw = model.forward_both(xb)
         cls_loss = _mse_class_loss(logits, yb, dataset.num_classes)
         g_cls = _gradients(cls_loss, all_params)
-        with ad.no_grad():
-            v1 = _softmax_np(classifier.forward(xb).numpy())
-        expl_loss = _head_explainer_loss(raw, v1, classifier, xb, yb, config, dist, rng)
+        expl_loss = _head_explainer_loss(raw, v1[idx], classifier, xb, yb, config, dist, rng)
         g_expl = _gradients(expl_loss, all_params)
         g1 = np.concatenate([g_cls[id(p)].ravel() for p in encoder_params])
         g2 = np.concatenate([g_expl[id(p)].ravel() for p in encoder_params])

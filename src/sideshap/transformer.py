@@ -299,9 +299,6 @@ class MaskedTransformer:
             lambda t, m: self.logits_from_state(self.block_states(t, m)[-1]),
             tokens, mask, self.config.num_tokens)
 
-    def predict_proba(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        return ad.softmax(self.forward(tokens, mask)).numpy()
-
     # ------------------------------------------------------------------
     def named_parameters(self):
         out = self.embed.named_parameters("embed")

@@ -66,3 +66,17 @@ def test_workload_runs_and_verifies_untraced(workload, tmp_path):
         verifies.append(wl.cold_start())
     for verify in verifies:
         verify()
+
+
+def test_explain_runs_the_backbone_once_under_the_benchmark_tracer(tmp_path):
+    """The benchmark's own counter reads one backbone pass per ``explain``: v(x_0)
+    is taken when the model is built, outside the traced operation."""
+    wl = workloads.WORKLOADS["explain-vit"](str(tmp_path), 3, **TINY["explain-vit"])
+    wl.setup()
+    with tracing.Tracer(sideshap) as tracer:
+        verify = wl.op(0)
+    verify()
+    metrics, notes = tracing.layer_metrics(tracing.SpanTable(tracer))
+    assert "transformer.backbone_passes_per_explain" not in notes
+    assert metrics["transformer.backbone_passes_per_explain"] == 1.0
+    assert tracing.find_wrappers(sideshap) == []

@@ -149,3 +149,31 @@ def test_float64_inputs_are_stored_as_float32(tmp_path):
     save_checkpoint(path, "classifier", {}, {"w": np.ones(3, dtype=np.float64)})
     back = load_checkpoint(path)
     assert back.state["w"].dtype == np.float32
+
+
+def test_loaded_arrays_are_read_only_and_a_loaded_model_still_trains(tmp_path):
+    """The state holds read-only views of the file's bytes; loading copies them."""
+    import sideshap.autodiff as ad
+    from sideshap.transformer import MaskedTransformer, ModelConfig
+
+    config = ModelConfig(depth=1, hidden=8, heads=2, num_tokens=4, token_input_dim=3,
+                         num_classes=2)
+    path = tmp_path / "clf.ckpt"
+    save_checkpoint(path, "classifier", {}, MaskedTransformer(config, seed=1).state_dict())
+    ck = load_checkpoint(path)
+    assert ck.state and not any(arr.flags.writeable for arr in ck.state.values())
+    with pytest.raises(ValueError, match="read-only"):
+        ck.state["head.bias"][0] = 1.0
+    saved = {name: arr.copy() for name, arr in ck.state.items()}
+
+    model = MaskedTransformer(config, seed=2)
+    model.load_state(ck.state)
+    opt = ad.Optimizer(model.parameters(), ad.OptimizerConfig(step_size=0.1))
+    x = np.random.default_rng(0).standard_normal((3, 4, 3)).astype(np.float32)
+    ad.mean(ad.square(model.forward(x))).backward()
+    opt.step()
+    assert all(p.data.flags.writeable for p in model.parameters())
+    moved = model.state_dict()
+    assert any(not np.array_equal(moved[name], saved[name]) for name in saved)
+    for name, arr in ck.state.items():
+        assert arr.tobytes() == saved[name].tobytes()

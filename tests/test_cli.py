@@ -501,6 +501,47 @@ def test_malformed_dataset_exits_3(pipeline_artifacts, capsys, tmp_path, case):
     assert not out.exists()
 
 
+def test_empty_validation_split_exits_3(pipeline_artifacts, capsys, tmp_path):
+    with np.load(pipeline_artifacts["data"]) as z:
+        contents = dict(z)
+    data = tmp_path / "no_val.npz"
+    np.savez(data, **{**contents, "val": contents["val"][:0]})
+    out = tmp_path / "c.ckpt"
+    code, stdout, err = run(capsys, "train-classifier", "--data", str(data), "--out", str(out),
+                            *FAST_MODEL, *FAST_TRAIN)
+    assert code == EXIT_IO
+    assert err.startswith("i/o error:") and "no_val.npz" in err
+    assert "split 'val' has no rows" in err
+    assert len(err.splitlines()) == 1
+    assert stdout == "" and not out.exists()
+
+
+def test_evaluate_explains_every_sample_in_one_call(pipeline_artifacts, capsys, tmp_path,
+                                                     monkeypatch):
+    """One ``explain`` of all 7 samples, then one value pass of 2(d+1) rows per curve pair."""
+    from sideshap import cli
+    from sideshap.sidenet import CombinedModel
+
+    explained, valued = [], []
+    explain, surrogate_mask_values = CombinedModel.explain, cli.surrogate_mask_values
+
+    def recording_explain(self, tokens):
+        explained.append(len(tokens))
+        return explain(self, tokens)
+
+    def recording_values(surrogate, tokens_one, masks):
+        valued.append(len(masks))
+        return surrogate_mask_values(surrogate, tokens_one, masks)
+
+    monkeypatch.setattr(CombinedModel, "explain", recording_explain)
+    monkeypatch.setattr(cli, "surrogate_mask_values", recording_values)
+    code, stdout, _ = _evaluate(capsys, pipeline_artifacts, pipeline_artifacts["data"],
+                                tmp_path / "eval.json", "7")
+    assert code == EXIT_OK and json.loads(stdout)["samples"] == 7
+    assert explained == [7]
+    assert valued == [2 * (6 + 1)] * 7
+
+
 def test_froyo_and_duo_commands(pipeline_artifacts, capsys, tmp_path):
     code, stdout, _ = run(capsys, "train-froyo",
                           "--data", pipeline_artifacts["data"],

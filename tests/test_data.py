@@ -148,6 +148,7 @@ def _malformed_contents(tmp_path):
         "negative_split": {"val": np.append(contents["val"], -1)},
         "2d_split": {"train": contents["train"][None]},
         "float_split": {"train": contents["train"].astype(np.float64)},
+        **{f"empty_{split}": {split: contents[split][:0]} for split in ("train", "val", "test")},
         "no_num_classes": {"meta": with_params(num_classes=None)},
         "one_class": {"meta": with_params(num_classes=1)},
         "float_num_classes": {"meta": with_params(num_classes=2.0)},

@@ -81,14 +81,44 @@ def test_large_d_uses_subsampled_steps():
 
 @pytest.mark.parametrize("curve", ["insertion", "deletion"])
 def test_value_fn_batch_size_is_checked_on_both_curves(curve):
-    """Insertion masks start empty and deletion masks full; one extra row on either fails."""
+    """One call sees both curves' masks; a value function that drops the first
+    insertion row (one row too few) or adds a deletion row (one too many) fails."""
+    calls = []
+
     def value_fn(masks):
+        calls.append(len(masks))
         vals = masks.sum(axis=1)
-        wrong = masks[0].all() if curve == "deletion" else not masks[0].any()
-        return np.append(vals, 0.0) if wrong else vals
+        return vals[1:] if curve == "insertion" else np.append(vals, 4.0)
 
     with pytest.raises(ContractError, match="wrong batch size"):
         insertion_deletion(value_fn, np.arange(4.0))
+    assert calls == [10]
+
+
+@pytest.mark.parametrize("d", [1, 5, 64, 100])
+def test_one_value_call_covers_both_curves(d):
+    """One ``value_fn`` call of 2(d+1) rows (65 counts above d = 64): the insertion
+    masks, then the deletion masks, each the reference loop's rows."""
+    attr = np.random.default_rng(d).standard_normal(d)
+    calls = []
+
+    def value_fn(masks):
+        calls.append(masks.copy())
+        return masks @ np.arange(1.0, d + 1)
+
+    curve = insertion_deletion(value_fn, attr)
+    (masks,) = calls
+    counts = np.rint(curve.fractions * d).astype(int)
+    assert len(masks) == 2 * len(counts) == (2 * (d + 1) if d <= 64 else 130)
+    order = ranking_order(attr)
+    ins, dele = np.zeros((len(counts), d)), np.ones((len(counts), d))
+    for row, k in enumerate(counts):
+        ins[row, order[:k]] = 1.0
+        dele[row, order[:k]] = 0.0
+    assert masks.dtype == np.float64
+    assert np.array_equal(masks, np.concatenate([ins, dele]))
+    np.testing.assert_array_equal(curve.insertion_values, ins @ np.arange(1.0, d + 1))
+    np.testing.assert_array_equal(curve.deletion_values, dele @ np.arange(1.0, d + 1))
 
 
 def test_insertion_rejects_batched_attribution():

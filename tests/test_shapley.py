@@ -17,6 +17,7 @@ from sideshap.shapley import (
     harmonic,
     kernelshap,
     masks_to_bitmask,
+    prefix_masks,
     sample_equicardinality_masks,
     sample_subsets,
     second_moment_matrix,
@@ -209,6 +210,63 @@ def test_equicardinality_sampler_covers_endpoints():
     sigma = np.sqrt(p * (1 - p) / 9000)
     for k in range(9):
         assert abs((sizes == k).mean() - p) < 3 * sigma + 1e-3
+
+
+def loop_prefix_masks(orders, ks):
+    """The reference: one row at a time, the first ks[r] players of orders[r] set."""
+    masks = np.zeros(np.shape(orders), dtype=np.float64)
+    for row, k in enumerate(ks):
+        masks[row, orders[row][:k]] = 1.0
+    return masks
+
+
+def loop_fill_and_pair(ks, d, paired, rng):
+    """The reference sampler fill: one ``rng.permutation(d)`` per nonzero size."""
+    masks = np.zeros((len(ks), d), dtype=np.float64)
+    for i, k in enumerate(ks):
+        if k:
+            masks[i, rng.permutation(d)[:k]] = 1.0
+    if not paired:
+        return masks
+    out = np.empty((2 * len(ks), d), dtype=np.float64)
+    out[0::2] = masks
+    out[1::2] = 1.0 - masks
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 16])
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_prefix_masks_equal_the_loop(d, n):
+    rng = np.random.default_rng(d * 100 + n)
+    orders = np.array([rng.permutation(d) for _ in range(n)], dtype=np.int64).reshape(n, d)
+    ks = rng.integers(0, d + 1, size=n)
+    ks[: n // 4] = 0  # k = 0 rows keep no player
+    got = prefix_masks(orders, ks)
+    assert got.shape == (n, d) and got.dtype == np.float64
+    assert got.tobytes() == loop_prefix_masks(orders, ks).tobytes()
+    assert np.array_equal(got.sum(axis=1), ks)
+
+
+@pytest.mark.parametrize("d", [2, 3, 9])
+@pytest.mark.parametrize("n", [0, 2, 50])
+@pytest.mark.parametrize("paired", [False, True])
+def test_seeded_samplers_equal_the_loop(d, n, paired):
+    """Same masks, and the generator left in the same state, as the per-row loop."""
+    dist = shapley_kernel(d)
+    got_rng, want_rng = np.random.default_rng(n + d), np.random.default_rng(n + d)
+    got = sample_subsets(dist, n, paired, got_rng)
+    ks = want_rng.choice(np.arange(1, d), size=n // 2 if paired else n, p=dist.cardinality)
+    want = loop_fill_and_pair(ks, d, paired, want_rng)
+    assert got.shape == (n, d) and got.tobytes() == want.tobytes()
+    assert got_rng.random() == want_rng.random()
+
+    got = sample_equicardinality_masks(d, n, got_rng)
+    ks = want_rng.integers(0, d + 1, size=n)
+    want = loop_fill_and_pair(ks, d, False, want_rng)
+    assert got.shape == (n, d) and got.tobytes() == want.tobytes()
+    assert got_rng.random() == want_rng.random()
+    if n == 50:
+        assert (ks == 0).any()  # the k = 0 rows draw no permutation
 
 
 # ---------------------------------------------------------------------------

@@ -135,19 +135,22 @@ def test_explain_rows_are_batch_independent():
 
 
 def test_explain_empty_coalition_pass_sees_one_row(monkeypatch):
-    combined = full_width_combined()
-    surrogate = combined.surrogate
+    """Building the model runs v(x_0) on one row; ``explain`` runs no masked pass."""
     masked_rows = []
+    surrogate_logits = SideTunedModel.surrogate_logits
 
-    def recording_logits(tokens, mask, backbone_states=None):
+    def recording_logits(self, tokens, mask, backbone_states=None):
         if mask is not None:
             masked_rows.append((len(tokens), np.shape(mask)))
-        return SideTunedModel.surrogate_logits(surrogate, tokens, mask, backbone_states)
+        return surrogate_logits(self, tokens, mask, backbone_states)
 
-    monkeypatch.setattr(surrogate, "surrogate_logits", recording_logits)
+    monkeypatch.setattr(SideTunedModel, "surrogate_logits", recording_logits)
+    combined = full_width_combined()
+    assert masked_rows == [(1, (1, 8))] and combined.v0.shape == (1, 3)
+    masked_rows.clear()
     x = np.random.default_rng(12).standard_normal((5, 8, 5)).astype(np.float32)
     _, phi, residual = combined.explain(x)
-    assert masked_rows == [(1, (1, 8))]
+    assert masked_rows == []
     assert phi.shape == (5, 8, 3) and residual < 1e-5
 
 
@@ -251,12 +254,13 @@ def test_explain_bit_equal_to_three_pass_reference(batch):
     assert residual == want_residual
 
 
-def test_explain_runs_the_backbone_twice(block_state_masks):
+def test_explain_runs_the_backbone_once(block_state_masks):
     combined = build_combined(15)
+    # building the model runs v(x_0) over the class token alone
+    assert len(block_state_masks) == 1 and not np.any(block_state_masks[0])
+    block_state_masks.clear()
     combined.explain(np.random.default_rng(8).standard_normal((3, 8, 5)))
-    # one unmasked pass, then v(x_0) over the class token alone
-    assert len(block_state_masks) == 2
-    assert block_state_masks[0] is None and not np.any(block_state_masks[1])
+    assert block_state_masks == [None]
 
 
 def test_explain_records_no_graph_and_training_still_does():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax as sp_softmax
 
+import sideshap.autodiff as ad
 from sideshap import training
 from sideshap.autodiff import ContractError, OptimizerConfig
 from sideshap.data import generate_dataset
@@ -340,13 +341,55 @@ def test_head_pipeline_record_has_no_validation_pass(trained_pair, trainer):
     assert rec.best_epoch == int(np.argmin(rec.val_losses))
 
 
-@pytest.mark.parametrize("trainer, unmasked", [(train_froyo, 1), (train_duo, 2)])
+def _stage_chunks(ds):
+    """Row chunks of one ``_chunked_logits`` pass over the training split."""
+    return -(-len(ds.splits["train"]) // training._VALUE_CHUNK)
+
+
+@pytest.mark.parametrize("trainer, unmasked", [(train_froyo, 1), (train_duo, 1)])
 def test_head_pipeline_unmasked_passes_per_step(trained_pair, block_state_masks,
                                                 trainer, unmasked):
-    """Froyo reads v(x_1) from its one ``forward_both``; duo adds one classifier pass."""
+    """One ``forward_both`` per step; v(x_1) comes from one classifier pass per stage."""
     ds, clf, _ = trained_pair
     _, rec = trainer(clf, ds, quick_stage(epochs=2))
-    assert sum(mask is None for mask in block_state_masks) == unmasked * len(rec.step_losses)
+    assert (sum(mask is None for mask in block_state_masks)
+            == unmasked * len(rec.step_losses) + _stage_chunks(ds))
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_surrogate_stage_takes_targets_in_one_pass(trained_pair, block_state_masks,
+                                                   monkeypatch, epochs):
+    """The classifier runs unmasked on the 9 validation picks (one chunk) and
+    once over the training split, in chunks; no step runs it."""
+    monkeypatch.setattr(training, "_VALUE_CHUNK", 16)
+    ds, clf, _ = trained_pair
+    train_surrogate(clf, ds, quick_stage(epochs=epochs),
+                    SideConfig(reduction=2, role=ROLE_SURROGATE))
+    assert sum(mask is None for mask in block_state_masks) == 1 + _stage_chunks(ds)
+
+
+def test_surrogate_targets_are_the_classifier_probabilities(trained_pair, monkeypatch):
+    """Each step's target rows are the bits of a float32 softmax(f(x)) over that
+    step's inputs alone, m times each."""
+    ds, clf, _ = trained_pair
+    x_train = ds.split("train")[0]
+    seen = []
+    kl_loss_graph = training._kl_loss_graph
+
+    def recording(p_probs, q_logits):
+        seen.append(p_probs)
+        return kl_loss_graph(p_probs, q_logits)
+
+    monkeypatch.setattr(training, "_kl_loss_graph", recording)
+    stage = quick_stage()
+    train_surrogate(clf, ds, stage, SideConfig(reduction=2, role=ROLE_SURROGATE))
+    batch = stage.inputs_per_batch
+    order = np.random.default_rng(stage.seed).permutation(len(x_train))  # epoch 0's
+    assert len(seen) == -(-len(x_train) // batch)
+    for step, target in enumerate(seen):
+        xb = x_train[order[step * batch:(step + 1) * batch]]
+        want = np.repeat(ad.softmax(clf.forward(xb)).numpy(), stage.masks_per_input, axis=0)
+        assert target.tobytes() == want.tobytes()
 
 
 def test_head_explainer_model_shapes():

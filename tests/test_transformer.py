@@ -234,13 +234,6 @@ def test_layer_norm_matches_manual_reference():
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-def test_predict_proba_is_distribution(toy_model):
-    rng = np.random.default_rng(5)
-    p = toy_model.predict_proba(rng.standard_normal((4, 8, 5)))
-    np.testing.assert_allclose(p.sum(axis=-1), np.ones(4), atol=1e-6)
-    assert np.all(p >= 0)
-
-
 def test_forward_rejects_wrong_token_count(toy_model):
     with pytest.raises(ContractError):
         toy_model.forward(np.zeros((1, 5, 5)))
