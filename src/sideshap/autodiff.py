@@ -22,7 +22,7 @@ __all__ = [
     "Optimizer",
     "add", "sub", "mul", "matmul", "reshape", "transpose", "broadcast_to",
     "concat", "narrow", "take", "tensor_sum", "mean", "square", "gelu",
-    "softmax", "log_softmax", "attention", "layer_norm", "no_grad",
+    "softmax", "log_softmax", "attention", "layer_norm", "no_grad", "is_grad_enabled",
 ]
 
 _SQRT_2 = np.sqrt(2.0)
@@ -45,7 +45,7 @@ class DimensionError(ContractError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents")
 
     def __init__(self, data, requires_grad=False, dtype=None, _parents=()):
         arr = np.asarray(data, dtype=dtype)
@@ -153,6 +153,10 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def is_grad_enabled() -> bool:  # False inside ``no_grad``
+    return _grad_enabled
 
 
 def _result(data, parents) -> Tensor:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import ContractError
+
 __all__ = [
     "Game", "ShapleyKernelDist", "SecondMomentMatrix",
     "harmonic", "exact_shapley", "shapley_kernel", "sample_subsets",
@@ -48,12 +50,6 @@ def all_subsets(d: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(d)) & 1).astype(np.float64)
 
 
-def masks_to_bitmask(masks: np.ndarray) -> np.ndarray:
-    masks = np.asarray(masks)
-    powers = (1 << np.arange(masks.shape[-1], dtype=np.int64))
-    return (masks.astype(np.int64) * powers).sum(axis=-1)
-
-
 class Game:
     """A set function on d players with memoized evaluations.
 
@@ -67,15 +63,25 @@ class Game:
     def __init__(self, d: int, value):
         self.d = d
         self._value = value
-        self._memo: dict[int, np.ndarray] = {}
+        self._memo: dict[bytes, np.ndarray] = {}
 
     def evaluate(self, masks: np.ndarray) -> np.ndarray:
+        """Values of 0/1 coalition rows (m, d), or of one row (d,).
+
+        A coalition's memo key is its packed bits, so two coalitions share a
+        key only when they are equal, at any d. A row that is not 0/1 or not
+        d wide is a ContractError.
+        """
         masks = np.asarray(masks, dtype=np.float64)
         if masks.ndim == 1:
             masks = masks[None]
-        keys = masks_to_bitmask(masks)
-        missing: dict[int, int] = {}  # each unseen coalition's first row
-        for i, k in enumerate(keys.tolist()):
+        if masks.ndim != 2 or masks.shape[1] != self.d:
+            raise ContractError(f"coalitions of shape {masks.shape} are not (m, {self.d}) rows")
+        if not np.all((masks == 0) | (masks == 1)):
+            raise ContractError("coalition entries must be 0 or 1")
+        keys = [row.tobytes() for row in np.packbits(masks.astype(np.uint8), axis=1)]
+        missing: dict[bytes, int] = {}  # each unseen coalition's first row
+        for i, k in enumerate(keys):
             if k not in self._memo:
                 missing.setdefault(k, i)
         if missing:
@@ -86,7 +92,7 @@ class Game:
             if vals.ndim == 1:
                 vals = vals[:, None]
             self._memo.update(zip(missing, vals))
-        out = np.stack([self._memo[k] for k in keys.tolist()])
+        out = np.stack([self._memo[k] for k in keys])
         return out[:, 0] if out.shape[1] == 1 else out
 
     def grand_value(self) -> np.ndarray:

@@ -124,15 +124,13 @@ class SideTunedModel:
         reuses states that are already computed."""
         if self.side_config.role != ROLE_SURROGATE:
             raise ContractError("surrogate_logits called on a non-surrogate branch")
-        if mask is None:
-            if backbone_states is None:
-                backbone_states = self.backbone.block_states(tokens, None)
-            return self._surrogate_head(backbone_states)
-        if backbone_states is not None:
+        if backbone_states is None:
+            return by_kept_count(
+                lambda t, m: self._surrogate_head(self.backbone.block_states(t, m)),
+                tokens, mask, self.backbone.config.num_tokens)
+        if mask is not None:
             raise ContractError("backbone_states are unmasked; they cannot be used with a mask")
-        return by_kept_count(
-            lambda t, m: self._surrogate_head(self.backbone.block_states(t, m)),
-            tokens, mask, self.backbone.config.num_tokens)
+        return self._surrogate_head(backbone_states)
 
     def surrogate_forward(self, tokens: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
         """Class probability distribution for masked input x_s."""

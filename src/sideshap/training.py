@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ContractError, Optimizer, OptimizerConfig, Tensor
 from .data import SyntheticDataset
+from .evaluation import gradient_conflict
 from .shapley import (
     sample_equicardinality_masks,
     sample_subsets,
@@ -193,22 +194,14 @@ def _check_frozen(model, before: str, stage: str):
             f"invariant violation: backbone parameters changed during {stage} training")
 
 
-_VALUE_CHUNK = 1024  # rows per value-function pass; it sets memory, never a row's bits
-
-
-def _chunked_logits(logits_fn, tokens, masks=None):
-    """``logits_fn(tokens, masks)`` over row chunks, as one numpy array.
+def _value_logits(logits_fn, tokens, masks=None):
+    """``logits_fn(tokens, masks)`` as a numpy array, recording no autodiff graph.
 
     ``logits_fn`` is a value function such as ``MaskedTransformer.forward``
     or ``SideTunedModel.surrogate_logits``; ``masks`` None means unmasked.
-    No autodiff graph is recorded.
     """
-    outs = []
     with ad.no_grad():
-        for start in range(0, len(tokens), _VALUE_CHUNK):
-            m = None if masks is None else masks[start:start + _VALUE_CHUNK]
-            outs.append(logits_fn(tokens[start:start + _VALUE_CHUNK], m).numpy())
-    return np.concatenate(outs, axis=0)
+        return logits_fn(tokens, masks).numpy()
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +224,13 @@ def train_classifier(dataset: SyntheticDataset, model_config: ModelConfig,
                   model.named_parameters(), step_loss,
                   lambda: _classifier_val_loss(model, x_val, y_val))
     record.extra["val_accuracy"] = accuracy(
-        _chunked_logits(model.forward, x_val), y_val)
+        _value_logits(model.forward, x_val), y_val)
     return model, record
 
 
 def _classifier_val_loss(model, x_val, y_val):
     """``_mse_class_loss`` of the classifier on the validation split, in float64."""
-    logits = _chunked_logits(model.forward, x_val).astype(np.float64)
+    logits = _value_logits(model.forward, x_val).astype(np.float64)
     return _mse_class_loss(Tensor(logits), y_val, model.config.num_classes).item()
 
 
@@ -266,8 +259,8 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
     x_sel = x_val[val_rng.permutation(len(x_val))[:n_val]]
     val_masks = sample_equicardinality_masks(d, n_val * 4, val_rng)
     val_x = np.repeat(x_sel, 4, axis=0)
-    val_p = np.repeat(_chunked_logits(classifier.forward, x_sel), 4, axis=0)
-    train_p = ad.softmax(Tensor(_chunked_logits(classifier.forward, x_train))).numpy()
+    val_p = np.repeat(_value_logits(classifier.forward, x_sel), 4, axis=0)
+    train_p = ad.softmax(Tensor(_value_logits(classifier.forward, x_train))).numpy()
 
     def step_loss(idx):
         xb = x_train[idx]
@@ -277,7 +270,7 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
 
     record = _fit("surrogate", config, rng, len(x_train), config.inputs_per_batch,
                   model.named_side_parameters(), step_loss,
-                  lambda: kl_divergence(val_p, _chunked_logits(
+                  lambda: kl_divergence(val_p, _value_logits(
                       model.surrogate_logits, val_x, val_masks)))
     _check_frozen(classifier, backbone_before, "surrogate")
     record.extra["backbone_digest"] = backbone_before
@@ -290,9 +283,8 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
 
 def surrogate_mask_values(surrogate: SideTunedModel, tokens_one: np.ndarray,
                           masks: np.ndarray) -> np.ndarray:
-    """Surrogate class probabilities for one input under many masks."""
-    rep = np.repeat(tokens_one[None], len(masks), axis=0)
-    return _softmax_np(_chunked_logits(surrogate.surrogate_logits, rep, masks))
+    """Surrogate class probabilities for one input, broadcast over many masks."""
+    return _softmax_np(_value_logits(surrogate.surrogate_logits, tokens_one[None], masks))
 
 
 def _softmax_np(logits):
@@ -327,14 +319,14 @@ def _regression_batch(logits_fn, v1, x, y, masks, m, label_mode):
     """``_shapley_regression_loss``'s masks, targets, diffs and weights for x under masks.
 
     ``v1`` is v(x_1) from the unmasked pass the caller already makes. Each
-    input's m masks are evaluated in one chunked pass of the value function
+    input's m masks are evaluated in one graph-free call of the value function
     ``logits_fn``. The empty mask reads no input token, so one one-row pass
     gives every input's v(x_0). The weights are the one-hot label
     (``label_mode == "label"``) or v(x_1).
     """
     n_in, d = len(x), masks.shape[1]
-    vals = _softmax_np(_chunked_logits(logits_fn, np.repeat(x, m, axis=0), masks))
-    v0 = _softmax_np(_chunked_logits(logits_fn, x[:1], np.zeros((1, d))))  # (1, C)
+    vals = _softmax_np(_value_logits(logits_fn, np.repeat(x, m, axis=0), masks))
+    v0 = _softmax_np(_value_logits(logits_fn, x[:1], np.zeros((1, d))))  # (1, C)
     weights = np.eye(v1.shape[1], dtype=np.float64)[y] if label_mode == "label" else v1
     return masks.reshape(n_in, m, d), vals.reshape(n_in, m, -1) - v0, v1 - v0, weights
 
@@ -472,7 +464,7 @@ def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     rng = np.random.default_rng(config.seed)
     dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")
-    v1 = _softmax_np(_chunked_logits(classifier.forward, x_train))  # v(x_1), once per stage
+    v1 = _softmax_np(_value_logits(classifier.forward, x_train))  # v(x_1), once per stage
 
     def step_loss(idx):
         xb = x_train[idx]
@@ -504,8 +496,6 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     records the cosine of their encoder parts and steps on their sum. The
     trained encoder is a copy; ``classifier`` stays the value function.
     """
-    from .evaluation import gradient_conflict
-
     model = HeadExplainerModel(classifier, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     all_params = list(model.named_parameters().values())
@@ -513,7 +503,7 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     conflict_trace = []
     dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")
-    v1 = _softmax_np(_chunked_logits(classifier.forward, x_train))  # v(x_1), once per stage
+    v1 = _softmax_np(_value_logits(classifier.forward, x_train))  # v(x_1), once per stage
 
     def step_loss(idx):
         xb, yb = x_train[idx], y_train[idx]

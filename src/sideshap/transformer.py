@@ -171,13 +171,15 @@ def class_logits(head, seq: Tensor) -> Tensor:
     return ad.reshape(out, (seq.shape[0], out.shape[2]))
 
 
-def masked_batch(tokens: np.ndarray, mask: np.ndarray, num_tokens: int):
+def masked_batch(tokens: np.ndarray, mask: np.ndarray | None, num_tokens: int):
     """Checked (tokens, mask): (batch, d, token_input_dim) float32 and (batch, d) 0/1.
 
-    A single token row or mask row is broadcast over the other's batch. Any
-    mask value other than 0 or 1 (NaN included) is a ContractError.
+    A single token row or mask row is broadcast over the other's batch; a None mask stays
+    None. Any mask value other than 0 or 1 (NaN included) is a ContractError.
     """
     tokens = token_batch(tokens)
+    if mask is None:
+        return tokens, None
     mask = np.asarray(mask)
     if mask.ndim == 1:
         mask = mask[None, :]
@@ -197,19 +199,28 @@ def masked_batch(tokens: np.ndarray, mask: np.ndarray, num_tokens: int):
             np.broadcast_to(mask, (b, num_tokens)))
 
 
-def by_kept_count(run, tokens: np.ndarray, mask: np.ndarray, num_tokens: int) -> Tensor:
-    """``run(tokens, mask)`` on each group of rows that keep equally many tokens.
+_PASS_TOKENS = 2048  # tokens per graph-free pass; it sets memory, never a row's bits
 
-    ``run`` returns one output row per input row; the groups' outputs come
-    back in input order.
+
+def by_kept_count(run, tokens: np.ndarray, mask: np.ndarray | None, num_tokens: int) -> Tensor:
+    """``run(tokens, mask)`` over passes of rows that keep equally many tokens (None: all).
+
+    The one place a batch becomes model passes: a graph-free pass holds at most ``_PASS_TOKENS``
+    tokens, rows x (kept + 1), one row at least; one that records a graph holds a whole count,
+    as the graph keeps every activation until backward anyway. Rows return in input order.
     """
     tokens, mask = masked_batch(tokens, mask, num_tokens)
-    counts = mask.sum(axis=1)
-    order = np.argsort(counts, kind="stable")
-    starts = np.flatnonzero(np.diff(counts[order])) + 1
-    if not len(starts):
+    kept = np.full(len(tokens), num_tokens) if mask is None else np.count_nonzero(mask, axis=1)
+    order = np.argsort(kept, kind="stable")
+    starts = np.flatnonzero(np.diff(kept[order], prepend=-1))
+    cuts = []
+    for lo, hi in zip(starts, [*starts[1:], len(order)]):
+        size = hi - lo if ad.is_grad_enabled() else max(1, _PASS_TOKENS // (kept[order[lo]] + 1))
+        cuts.extend(range(lo, hi, size))
+    if len(cuts) <= 1:
         return run(tokens, mask)
-    outs = [run(tokens[rows], mask[rows]) for rows in np.split(order, starts)]
+    outs = [run(tokens[rows], None if mask is None else mask[rows])
+            for rows in np.split(order, cuts[1:])]
     return ad.take(ad.concat(outs, axis=0), np.argsort(order))
 
 
@@ -247,10 +258,7 @@ class MaskedTransformer:
         read.
         """
         c = self.config
-        if mask is None:
-            tokens = token_batch(tokens)
-        else:
-            tokens, mask = masked_batch(tokens, mask, c.num_tokens)
+        tokens, mask = masked_batch(tokens, mask, c.num_tokens)
         if tokens.shape[1] != c.num_tokens:
             raise ContractError(
                 f"expected {c.num_tokens} tokens, got {tokens.shape[1]}")
@@ -293,8 +301,6 @@ class MaskedTransformer:
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Class logits for a (batch of) token sequence(s) under mask s."""
-        if mask is None:
-            return self.logits_from_state(self.block_states(tokens, None)[-1])
         return by_kept_count(
             lambda t, m: self.logits_from_state(self.block_states(t, m)[-1]),
             tokens, mask, self.config.num_tokens)

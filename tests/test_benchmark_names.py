@@ -80,3 +80,17 @@ def test_explain_runs_the_backbone_once_under_the_benchmark_tracer(tmp_path):
     assert "transformer.backbone_passes_per_explain" not in notes
     assert metrics["transformer.backbone_passes_per_explain"] == 1.0
     assert tracing.find_wrappers(sideshap) == []
+
+
+@pytest.mark.parametrize("workload", ["explain-vit", "oracle-d12"])
+def test_counted_macs_equal_the_analytic_ones(workload, tmp_path, monkeypatch):
+    """The benchmark's MAC gate: a batch-1 classifier forward and one pass of each
+    branch run exactly the matmul MACs that ``evaluation`` counts analytically."""
+    monkeypatch.syspath_prepend(PERFBENCH)  # ``run.probe_macs`` runs ``import tracing``
+    run = _load("run")
+    wl = workloads.WORKLOADS[workload](str(tmp_path), 3, **TINY[workload])
+    wl.setup()
+    counted, analytic = run.probe_macs(sideshap, wl)
+    assert len(counted) == 3
+    assert counted == analytic
+    assert tracing.find_wrappers(sideshap) == []

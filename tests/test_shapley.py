@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sideshap import shapley
+from sideshap.autodiff import ContractError
 from sideshap.shapley import (
     MAX_EXACT_PLAYERS,
     BudgetError,
@@ -16,13 +17,19 @@ from sideshap.shapley import (
     exact_shapley,
     harmonic,
     kernelshap,
-    masks_to_bitmask,
     prefix_masks,
     sample_equicardinality_masks,
     sample_subsets,
     second_moment_matrix,
     shapley_kernel,
 )
+
+
+def masks_to_bitmask(masks):
+    """Each 0/1 row's little-endian bitmask, as int64 (exact for d < 64)."""
+    masks = np.asarray(masks)
+    powers = (1 << np.arange(masks.shape[-1], dtype=np.int64))
+    return (masks.astype(np.int64) * powers).sum(axis=-1)
 
 
 def table_game(d, table):
@@ -100,6 +107,30 @@ def test_game_evaluates_each_distinct_coalition_once():
     np.testing.assert_array_equal(out, v(masks))
     np.testing.assert_array_equal(game.evaluate(masks[::-1]), out[::-1])
     assert len(seen) == 2  # one evaluation batch plus the direct call; the rest is memoized
+
+
+def test_game_keeps_coalitions_apart_beyond_63_players():
+    """At d=70 player 64's coalition has its own memo entry, not the empty
+    coalition's, and KernelSHAP recovers a linear game's weights."""
+    d = 70
+    w = np.arange(1.0, d + 1)
+    game = Game(d, lambda m: np.asarray(m) @ w)
+    only_64 = np.zeros(d)
+    only_64[64] = 1
+    assert game.evaluate(only_64)[0] == 65.0
+    assert game.null_value() == 0.0
+    phi, _ = kernelshap(Game(d, lambda m: np.asarray(m) @ w), 512, seed=0, paired=True)
+    np.testing.assert_allclose(phi, w, atol=1e-8)
+
+
+@pytest.mark.parametrize("row", [[0.5, 0.5, 0, 0], [2, 0, 0, 0], [np.nan, 0, 0, 0],
+                                 [0, 0, 0], [0, 0, 0, 0, 0]])
+def test_game_refuses_rows_that_are_not_coalitions(row):
+    """A row that is not 0/1 or not d wide is refused, and stores nothing."""
+    game = Game(4, lambda m: np.asarray(m).sum(axis=1))
+    with pytest.raises(ContractError):
+        game.evaluate(np.array([row], dtype=np.float64))
+    assert game.null_value() == 0.0
 
 
 # ---------------------------------------------------------------------------

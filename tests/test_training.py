@@ -5,7 +5,7 @@ import pytest
 from scipy.special import softmax as sp_softmax
 
 import sideshap.autodiff as ad
-from sideshap import training
+from sideshap import training, transformer
 from sideshap.autodiff import ContractError, OptimizerConfig
 from sideshap.data import generate_dataset
 from sideshap.shapley import sample_subsets, shapley_kernel
@@ -24,9 +24,9 @@ from sideshap.training import (
     train_surrogate,
 )
 from sideshap.training import (
-    _chunked_logits,
     _regression_batch,
     _softmax_np,
+    _value_logits,
 )
 from sideshap.transformer import MaskedTransformer, ModelConfig
 
@@ -194,21 +194,26 @@ def test_explainer_mask_bank_mode(trained_pair):
     assert len(rec.val_losses) == 3
 
 
-def test_chunked_logits_records_no_graph(trained_pair, monkeypatch):
-    monkeypatch.setattr(training, "_VALUE_CHUNK", 4)
+def test_value_logits_records_no_graph(trained_pair, block_state_masks, monkeypatch):
+    """With no graph, the planner cuts each kept count into budget-sized passes;
+    a graph-recording call runs one pass per count."""
     ds, _, sur = trained_pair
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", 4 * (ds.d + 1))
     x = ds.split("train")[0][:10]
     masks = np.ones((10, ds.d))
     masks[::2, 0] = 0
     assert sur.surrogate_logits(x, masks)._parents  # a graph outside
+    assert len(block_state_masks) == 2
+    block_state_masks.clear()
     returned = []
 
     def logits_fn(tokens, mask):
         returned.append(sur.surrogate_logits(tokens, mask))
         return returned[-1]
 
-    _chunked_logits(logits_fn, x, masks)
-    assert len(returned) == 3
+    _value_logits(logits_fn, x, masks)
+    assert len(block_state_masks) == 4  # 5 rows of each count, at most 4 per pass
+    assert len(returned) == 1
     assert not any(t._parents for t in returned)
 
 
@@ -235,7 +240,7 @@ def test_training_is_independent_of_value_chunk(monkeypatch):
         return [(state_digest(state), rec.val_losses) for state, rec in out]
 
     want = train_all()
-    monkeypatch.setattr(training, "_VALUE_CHUNK", 7)
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", 1)
     assert train_all() == want
 
 
@@ -269,14 +274,14 @@ def _stacked_value_targets(logits_fn, xb, yb, masks, m, num_classes, label_mode)
     extremes = np.broadcast_to(np.stack([np.zeros(d), np.ones(d)]), (n_in, 2, d))
     stacked = np.concatenate([masks.reshape(n_in, m, d), extremes],
                              axis=1).reshape(n_in * (m + 2), d)
-    logits = _chunked_logits(logits_fn, np.repeat(xb, m + 2, axis=0), stacked)
+    logits = _value_logits(logits_fn, np.repeat(xb, m + 2, axis=0), stacked)
     vals = _softmax_np(logits).reshape(n_in, m + 2, -1)
     v0, v1 = vals[:, m, :], vals[:, m + 1, :]
     targets = vals[:, :m, :] - v0[:, None, :]
     if label_mode == "label":
         weights = np.eye(num_classes, dtype=np.float64)[yb]
     else:
-        weights = _softmax_np(_chunked_logits(logits_fn, xb))
+        weights = _softmax_np(_value_logits(logits_fn, xb))
     return masks.reshape(n_in, m, d), targets, v1 - v0, weights
 
 
@@ -341,9 +346,10 @@ def test_head_pipeline_record_has_no_validation_pass(trained_pair, trainer):
     assert rec.best_epoch == int(np.argmin(rec.val_losses))
 
 
-def _stage_chunks(ds):
-    """Row chunks of one ``_chunked_logits`` pass over the training split."""
-    return -(-len(ds.splits["train"]) // training._VALUE_CHUNK)
+def _stage_passes(ds):
+    """Passes of one graph-free value call over the unmasked training split."""
+    rows = max(1, transformer._PASS_TOKENS // (ds.d + 1))
+    return -(-len(ds.splits["train"]) // rows)
 
 
 @pytest.mark.parametrize("trainer, unmasked", [(train_froyo, 1), (train_duo, 1)])
@@ -353,19 +359,19 @@ def test_head_pipeline_unmasked_passes_per_step(trained_pair, block_state_masks,
     ds, clf, _ = trained_pair
     _, rec = trainer(clf, ds, quick_stage(epochs=2))
     assert (sum(mask is None for mask in block_state_masks)
-            == unmasked * len(rec.step_losses) + _stage_chunks(ds))
+            == unmasked * len(rec.step_losses) + _stage_passes(ds))
 
 
 @pytest.mark.parametrize("epochs", [1, 3])
 def test_surrogate_stage_takes_targets_in_one_pass(trained_pair, block_state_masks,
                                                    monkeypatch, epochs):
-    """The classifier runs unmasked on the 9 validation picks (one chunk) and
-    once over the training split, in chunks; no step runs it."""
-    monkeypatch.setattr(training, "_VALUE_CHUNK", 16)
+    """The classifier runs unmasked on the 9 validation picks (one pass) and
+    once over the training split, in budget-sized passes; no step runs it."""
     ds, clf, _ = trained_pair
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", 16 * (ds.d + 1))
     train_surrogate(clf, ds, quick_stage(epochs=epochs),
                     SideConfig(reduction=2, role=ROLE_SURROGATE))
-    assert sum(mask is None for mask in block_state_masks) == 1 + _stage_chunks(ds)
+    assert sum(mask is None for mask in block_state_masks) == 1 + _stage_passes(ds)
 
 
 def test_surrogate_targets_are_the_classifier_probabilities(trained_pair, monkeypatch):

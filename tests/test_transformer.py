@@ -7,6 +7,7 @@ import pytest
 from scipy.special import erf
 
 import sideshap.autodiff as ad
+from sideshap import transformer
 from sideshap.autodiff import ContractError, Tensor
 from sideshap.transformer import (
     PRESETS,
@@ -56,12 +57,20 @@ def test_masked_content_never_leaks(toy_model):
     assert worst < 1e-6
 
 
-def test_full_mask_equals_unmasked(toy_model):
+def test_full_mask_equals_unmasked(toy_model, monkeypatch):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 8, 5)).astype(np.float32)
     y_none = toy_model.forward(x, None).numpy()
     y_ones = toy_model.forward(x, np.ones((3, 8))).numpy()
     np.testing.assert_array_equal(y_none, y_ones)
+    # also when graph-free passes cut a batch of 300 rows (2,700 tokens)
+    x = rng.standard_normal((300, 8, 5)).astype(np.float32)
+    for budget in (1, 40, 2048):
+        monkeypatch.setattr(transformer, "_PASS_TOKENS", budget)
+        with ad.no_grad():
+            y_none = toy_model.forward(x, None).numpy()
+            y_ones = toy_model.forward(x, np.ones((300, 8))).numpy()
+        assert y_none.tobytes() == y_ones.tobytes()
 
 
 def test_empty_mask_output_is_input_independent(toy_model):
@@ -104,6 +113,82 @@ def test_compacted_forward_gradients_match_key_bias():
         grads.append({k: p.grad for k, p in model.named_parameters().items()})
     for k in grads[1]:
         assert relative_error(grads[0][k], grads[1][k]) <= 1e-5, k
+
+
+# ---------------------------------------------------------------------------
+# pass planning
+
+
+@pytest.fixture
+def block_state_calls(monkeypatch):
+    """(rows, mask) of every ``MaskedTransformer.block_states`` call, in call order."""
+    calls = []
+    block_states = MaskedTransformer.block_states
+
+    def recording(self, tokens, mask):
+        calls.append((len(tokens), mask))
+        return block_states(self, tokens, mask)
+
+    monkeypatch.setattr(MaskedTransformer, "block_states", recording)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [1, 40, 2048])
+@pytest.mark.parametrize("masked", [False, True])
+def test_graph_free_passes_hold_one_count_within_the_budget(toy_model, block_state_calls,
+                                                            monkeypatch, budget, masked):
+    """Without a graph every pass keeps one token count and holds at most the
+    budget's tokens (one row at least); the rows come back in input order with
+    the bits of one pass per count."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((300, 8, 5)).astype(np.float32)
+    mask = mixed_masks(rng, 300, 8) if masked else None
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", 10 ** 9)
+    with ad.no_grad():
+        want = toy_model.forward(x, mask).numpy()
+    assert len(block_state_calls) == (9 if masked else 1)
+    block_state_calls.clear()
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", budget)
+    with ad.no_grad():
+        got = toy_model.forward(x, mask).numpy()
+    assert sum(rows for rows, _ in block_state_calls) == 300
+    for rows, pass_mask in block_state_calls:
+        kept = np.full(rows, 8) if pass_mask is None else pass_mask.sum(axis=1)
+        assert (pass_mask is None) == (not masked)
+        assert np.all(kept == kept[0])
+        assert rows == 1 or rows * (kept[0] + 1) <= budget
+    assert got.tobytes() == want.tobytes()
+
+
+def test_graph_recording_passes_hold_a_whole_kept_count(block_state_calls, monkeypatch):
+    """A classifier step of 256 rows at d=16 (4,352 tokens, over the budget) runs
+    as one pass with the bits and gradients of a direct unmasked pass, and a
+    masked step as one pass per kept count, whatever the budget."""
+    config = ModelConfig(depth=1, hidden=16, heads=2, num_tokens=16,
+                         token_input_dim=4, num_classes=3)
+    model = MaskedTransformer(config, seed=7)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((256, 16, 4)).astype(np.float32)
+    mask = mixed_masks(rng, 256, 16)
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", 1)
+
+    def step(logits_fn):
+        for p in model.parameters():
+            p.grad = None
+        out = logits_fn()
+        assert out._parents
+        ad.mean(ad.square(out)).backward()
+        return [out.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
+
+    direct = step(lambda: model.logits_from_state(model.block_states(x, None)[-1]))
+    block_state_calls.clear()
+    assert step(lambda: model.forward(x)) == direct
+    assert [rows for rows, _ in block_state_calls] == [256]
+    block_state_calls.clear()
+    masked = step(lambda: model.forward(x, mask))
+    assert len(block_state_calls) == len(np.unique(mask.sum(axis=1)))
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", 10 ** 9)
+    assert step(lambda: model.forward(x, mask)) == masked
 
 
 def _block(dtype):
