@@ -326,7 +326,7 @@ def cmd_train_explainer(args):
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
     surrogate = _load_branch(args.surrogate, classifier, ROLE_SURROGATE,
-                             lambda: state_digest(classifier.state_dict()))
+                             lambda: state_digest(classifier.named_parameters()))
     if cfg["side.reduction"] != surrogate.side_config.reduction:
         raise ContractError(
             f"side.reduction={cfg['side.reduction']} differs from the surrogate's reduction "
@@ -361,7 +361,7 @@ def _run_head_pipeline(args):
 def _load_combined(args) -> tuple[CombinedModel, SyntheticDataset]:
     ds = SyntheticDataset.load(args.data)
     classifier = _load_classifier(args.classifier)
-    digest = functools.cache(lambda: state_digest(classifier.state_dict()))
+    digest = functools.cache(lambda: state_digest(classifier.named_parameters()))
     surrogate = _load_branch(args.surrogate, classifier, ROLE_SURROGATE, digest)
     explainer = _load_branch(args.explainer, classifier, ROLE_EXPLAINER, digest)
     return CombinedModel(classifier, surrogate, explainer), ds

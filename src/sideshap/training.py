@@ -93,11 +93,16 @@ class LossRecord:
 
 
 def state_digest(state: dict) -> str:
-    """Order-independent content hash of a parameter state dict."""
+    """Order-independent content hash of a state dict or of named parameters.
+
+    Each array is hashed through its buffer, in place; a ``Tensor`` by its
+    ``data``, so a model's ``named_parameters()`` hashes as its ``state_dict()``.
+    """
     h = hashlib.sha256()
     for name in sorted(state):
+        value = state[name]
         h.update(name.encode("utf-8"))
-        h.update(np.ascontiguousarray(state[name]).tobytes())
+        h.update(np.ascontiguousarray(value.data if isinstance(value, Tensor) else value))
     return h.hexdigest()
 
 
@@ -189,7 +194,7 @@ def _fit(stage, config: StageConfig, rng, n_train, batch, named, step_loss,
 
 
 def _check_frozen(model, before: str, stage: str):
-    if state_digest(model.state_dict()) != before:
+    if state_digest(model.named_parameters()) != before:
         raise RuntimeError(
             f"invariant violation: backbone parameters changed during {stage} training")
 
@@ -247,7 +252,7 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
     """
     rng = np.random.default_rng(config.seed)
     model = SideTunedModel(classifier, side, seed=config.seed)
-    backbone_before = state_digest(classifier.state_dict())
+    backbone_before = state_digest(classifier.named_parameters())
     x_train, _ = dataset.split("train")
     x_val, _ = dataset.split("val")
     d, m = dataset.d, config.masks_per_input
@@ -361,7 +366,7 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
     """
     rng = np.random.default_rng(config.seed)
     explainer = make_explainer_from_surrogate(surrogate, seed=config.seed)
-    backbone_before = state_digest(surrogate.backbone.state_dict())
+    backbone_before = state_digest(surrogate.backbone.named_parameters())
     x_train, y_train = dataset.split("train")
     x_val, y_val = dataset.split("val")
     m, mode = config.masks_per_input, config.label_mode
@@ -460,7 +465,7 @@ def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     """Train only the explanation head; encoder and prediction head stay frozen."""
     model = HeadExplainerModel(classifier, seed=config.seed)
     model.net.set_trainable(False)
-    frozen_before = state_digest(model.net.state_dict())
+    frozen_before = state_digest(model.net.named_parameters())
     rng = np.random.default_rng(config.seed)
     dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")

@@ -94,3 +94,23 @@ def test_counted_macs_equal_the_analytic_ones(workload, tmp_path, monkeypatch):
     assert len(counted) == 3
     assert counted == analytic
     assert tracing.find_wrappers(sideshap) == []
+
+
+def test_checkpoint_digest_is_traced_from_save_and_load(tmp_path):
+    """explain-vit's set-up saves and its cold start loads checkpoints through
+    ``checkpoint.fnv1a_64``, which the benchmark times as ``checkpoint.digest_s``."""
+    wl = workloads.WORKLOADS["explain-vit"](str(tmp_path), 3, **TINY["explain-vit"])
+    with tracing.Tracer(sideshap) as tracer:
+        wl.setup()
+        verify = wl.cold_start()
+    verify()
+    table = tracing.SpanTable(tracer)
+    digests = table.select("checkpoint.fnv1a_64")
+    callers = table.nearest_ancestor(["checkpoint.save_checkpoint",
+                                      "checkpoint.load_checkpoint"])[digests]
+    assert digests.sum() and (callers >= 0).all()
+    assert {table.names[table.name[i]] for i in callers} == {
+        "checkpoint.save_checkpoint", "checkpoint.load_checkpoint"}
+    metrics, _ = tracing.layer_metrics(table)
+    assert metrics["checkpoint.digest_s"] > 0
+    assert tracing.find_wrappers(sideshap) == []

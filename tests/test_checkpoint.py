@@ -1,10 +1,15 @@
 """Binary checkpoint format: round trips, integrity, mismatch handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import write_raw_checkpoint
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sideshap.checkpoint import (
+    _BLOCK,
     FORMAT_VERSION,
     MAGIC,
     CheckpointError,
@@ -12,6 +17,14 @@ from sideshap.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+
+
+def fnv1a_64_loop(data) -> int:
+    """The byte-at-a-time FNV-1a 64 definition that ``fnv1a_64`` must equal."""
+    h = 0xCBF29CE484222325
+    for b in bytes(data):
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def sample_state(seed=0):
@@ -28,6 +41,32 @@ def test_fnv1a_known_vectors():
     assert fnv1a_64(b"") == 0xCBF29CE484222325
     assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               3 * _BLOCK + 12_345])
+def test_fnv1a_equals_the_loop_at_block_edges(n):
+    data = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes()
+    assert fnv1a_64(data) == fnv1a_64_loop(data)
+
+
+@pytest.mark.parametrize("fill", [0x00, 0xFF])
+def test_fnv1a_equals_the_loop_on_constant_bytes(fill):
+    data = bytes([fill]) * (_BLOCK + 100)
+    assert fnv1a_64(data) == fnv1a_64_loop(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=4096))
+def test_fnv1a_equals_the_loop_on_any_bytes(data):
+    assert fnv1a_64(data) == fnv1a_64_loop(data)
+
+
+def test_fnv1a_takes_any_bytes_like_object():
+    data = np.random.default_rng(1).integers(0, 256, _BLOCK + 7, dtype=np.uint8).tobytes()
+    want = fnv1a_64_loop(data)
+    assert fnv1a_64(data) == fnv1a_64(bytearray(data)) == fnv1a_64(memoryview(data)) == want
+    assert fnv1a_64(memoryview(data)[5:-3]) == fnv1a_64_loop(data[5:-3])
 
 
 def test_roundtrip_bit_identical(tmp_path):
@@ -177,3 +216,22 @@ def test_loaded_arrays_are_read_only_and_a_loaded_model_still_trains(tmp_path):
     assert any(not np.array_equal(moved[name], saved[name]) for name in saved)
     for name, arr in ck.state.items():
         assert arr.tobytes() == saved[name].tobytes()
+
+
+def test_load_holds_one_copy_of_the_file(tmp_path):
+    """The body, the digest input and every tensor are views of one read."""
+    rng = np.random.default_rng(0)
+    state = {f"w{i}": rng.standard_normal((256, 1024)).astype(np.float32) for i in range(4)}
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, "classifier", {"model": {"depth": 1}}, state)
+    size = path.stat().st_size
+    assert size >= 4 * 2 ** 20
+    tracemalloc.start()
+    try:
+        back = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size
+    for name, arr in state.items():
+        assert back.state[name].tobytes() == arr.tobytes()

@@ -7,6 +7,7 @@ from scipy.special import softmax as sp_softmax
 import sideshap.autodiff as ad
 from sideshap import training, transformer
 from sideshap.autodiff import ContractError, OptimizerConfig
+from sideshap.checkpoint import load_checkpoint, save_checkpoint
 from sideshap.data import generate_dataset
 from sideshap.shapley import sample_subsets, shapley_kernel
 from sideshap.sidenet import ROLE_SURROGATE, SideConfig
@@ -115,6 +116,69 @@ def test_state_digest_order_independent():
     assert state_digest(a) == state_digest(b)
     b["x"] = b["x"] + 1
     assert state_digest(a) != state_digest(b)
+
+
+def _state_digest_by_copy(state: dict) -> str:
+    """The copy-then-hash ``state_digest`` that the in-place one must equal."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for name in sorted(state):
+        h.update(name.encode("utf-8"))
+        h.update(np.ascontiguousarray(state[name]).tobytes())
+    return h.hexdigest()
+
+
+def test_state_digest_in_place_equals_copy_then_hash(trained_pair, tmp_path):
+    _, clf, sur = trained_pair
+    rng = np.random.default_rng(0)
+    odd = {"transposed": rng.standard_normal((4, 5)).astype(np.float32).T,
+           "scalar": np.float32(2.5).reshape(()),
+           "float64": rng.standard_normal(3),
+           "empty": np.zeros((0, 3), dtype=np.float32)}
+    path = tmp_path / "clf.ckpt"
+    save_checkpoint(path, "classifier", {}, clf.state_dict())
+    for state in (odd, clf.state_dict(), sur.side_state_dict(), load_checkpoint(path).state):
+        assert state_digest(state) == _state_digest_by_copy(state)
+    assert state_digest(clf.named_parameters()) == _state_digest_by_copy(clf.state_dict())
+
+
+@pytest.mark.parametrize("stage, copies", [("surrogate", 0), ("explainer", 0), ("froyo", 1)])
+def test_frozen_backbone_digests_take_no_state_copy(trained_pair, monkeypatch, stage, copies):
+    """The before and after digests read the parameters in place; froyo's one
+    ``state_dict`` call builds its trainable copy of the classifier."""
+    ds, clf, sur = trained_pair
+    want = _state_digest_by_copy(clf.state_dict())
+    calls = []
+    state_dict = MaskedTransformer.state_dict
+    monkeypatch.setattr(MaskedTransformer, "state_dict",
+                        lambda self: calls.append(self) or state_dict(self))
+    if stage == "surrogate":
+        _, rec = train_surrogate(clf, ds, quick_stage(), SideConfig(reduction=2,
+                                                                    role=ROLE_SURROGATE))
+    elif stage == "explainer":
+        _, rec = train_explainer(sur, ds, quick_stage())
+    else:
+        _, rec = train_froyo(clf, ds, quick_stage())
+    assert len(calls) == copies
+    assert rec.extra.get("backbone_digest", want) == want
+
+
+def test_frozen_check_sees_an_in_place_change(trained_pair, monkeypatch):
+    ds, clf, _ = trained_pair
+    fit, bias = training._fit, clf.head.bias.data.copy()
+
+    def fit_then_touch_the_backbone(*args, **kwargs):
+        record = fit(*args, **kwargs)
+        clf.head.bias.data[0] += 1.0
+        return record
+
+    monkeypatch.setattr(training, "_fit", fit_then_touch_the_backbone)
+    try:
+        with pytest.raises(RuntimeError, match="backbone parameters changed"):
+            train_surrogate(clf, ds, quick_stage(), SideConfig(reduction=2, role=ROLE_SURROGATE))
+    finally:
+        clf.head.bias.data[...] = bias
 
 
 # ---------------------------------------------------------------------------
