@@ -8,7 +8,9 @@ float32; float64 graphs are supported for tight finite-difference checks.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -22,7 +24,8 @@ __all__ = [
     "Optimizer",
     "add", "sub", "mul", "matmul", "reshape", "transpose", "broadcast_to",
     "concat", "narrow", "take", "tensor_sum", "mean", "square", "gelu",
-    "softmax", "log_softmax", "attention", "layer_norm", "no_grad", "is_grad_enabled",
+    "softmax", "log_softmax", "attention", "layer_norm", "row_max", "no_grad",
+    "is_grad_enabled",
 ]
 
 _SQRT_2 = np.sqrt(2.0)
@@ -34,6 +37,37 @@ _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _AS_P = float(0.3275911 / np.sqrt(2.0))
 _AS_HALF_COEFFS = tuple(0.5 * c for c in (
     1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
+
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> bool:
+    """Have glibc malloc keep freed memory for reuse; True if it now does.
+
+    A graph-free pass frees nearly all it allocated. By default glibc maps
+    large blocks with mmap and returns the heap top to the OS, so the next
+    pass faults every page back in. Here blocks under 32 MiB come from the
+    heap and up to 128 MiB of free top stays mapped. Both are set: setting
+    either one turns off glibc's dynamic thresholds, which would leave the
+    other at its 128 KiB default. Nothing is done without ``mallopt``
+    (macOS, musl, Windows) or where the user tunes malloc (``MALLOC_*_``
+    variables, ``glibc.malloc`` in ``GLIBC_TUNABLES``).
+    """
+    if (any(k.startswith("MALLOC_") and k.endswith("_") for k in os.environ)
+            or "glibc.malloc" in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 128 << 20)])
+
+
+_keep_freed_memory()
 
 
 class ContractError(ValueError):
@@ -378,9 +412,27 @@ def gelu(a: Tensor) -> Tensor:
     return _result(x * cdf, ((a, grad_fn),))
 
 
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, bit-equal but for the sign of a zero maximum.
+
+    A last axis of 2-16 entries is folded with ``np.maximum``, many times
+    faster than numpy's per-row reduction on such short rows. For a row
+    holding +0 and -0, numpy's own choice of sign depends on its SIMD width;
+    the fold returns the first. A softmax subtracts the maximum, so that
+    sign never reaches its output.
+    """
+    n = x.shape[-1]
+    if not 2 <= n <= 16:
+        return x.max(axis=-1, keepdims=True)
+    out = np.maximum(x[..., 0:1], x[..., 1:2])
+    for i in range(2, n):
+        np.maximum(out, x[..., i:i + 1], out=out)
+    return out
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, log-sum-exp stabilized."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = a.data - row_max(a.data)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
@@ -430,7 +482,7 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = a.data - row_max(a.data)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     p = np.exp(out)
@@ -473,7 +525,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     def grad_beta(g):
         return g.reshape(-1, n).sum(axis=0)
 
-    return _result(out.astype(x.dtype), ((a, grad_x), (gamma, grad_gamma), (beta, grad_beta)))
+    return _result(out.astype(x.dtype, copy=False),
+                   ((a, grad_x), (gamma, grad_gamma), (beta, grad_beta)))
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,12 @@ def load_checkpoint(path, expected_role: str | None = None) -> CheckpointData:
             raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        state[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        payload = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
+        try:
+            state[name] = payload.reshape(shape)
+        except ValueError as exc:  # more than 64 dims, or dims whose product overflows
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has a shape numpy cannot build ({exc})") from None
     if off != len(body):
         raise CheckpointError(f"{path}: trailing bytes in checkpoint")
     return CheckpointData(role=role, config=config, state=state, version=version)

@@ -28,7 +28,6 @@ from .transformer import (
     load_named_state,
     named_layer_parameters,
     state_snapshot,
-    token_batch,
 )
 
 ROLE_SURROGATE = "surrogate"
@@ -133,8 +132,9 @@ class SideTunedModel:
         return self._surrogate_head(backbone_states)
 
     def surrogate_forward(self, tokens: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-        """Class probability distribution for masked input x_s."""
-        return ad.softmax(self.surrogate_logits(tokens, mask)).numpy()
+        """Class probability distribution for masked input x_s; no autodiff graph is recorded."""
+        with ad.no_grad():
+            return ad.softmax(self.surrogate_logits(tokens, mask)).numpy()
 
     def explainer_raw(self, tokens: np.ndarray, backbone_states=None) -> Tensor:
         """Unconstrained attribution grid of shape (batch, d, num_classes)."""
@@ -193,25 +193,32 @@ class CombinedModel:
         self.surrogate = surrogate
         self.explainer = explainer
         c = classifier.config
-        with ad.no_grad():  # the empty coalition reads no input token: one row serves all
-            self.v0 = surrogate.surrogate_forward(
-                np.zeros((1, c.num_tokens, c.token_input_dim)), np.zeros((1, c.num_tokens)))
+        # the empty coalition reads no input token: one row serves all
+        self.v0 = surrogate.surrogate_forward(
+            np.zeros((1, c.num_tokens, c.token_input_dim)), np.zeros((1, c.num_tokens)))
 
     def explain(self, tokens: np.ndarray):
         """Prediction plus efficiency-normalized attributions for all classes.
 
-        The backbone runs once: v(x_1) is the surrogate on the same unmasked
-        states (an all-ones mask is bit-equal to no mask), and v(x_0) is ``v0``.
-        No autodiff graph is recorded.
+        The backbone runs once per row: v(x_1) is the surrogate on the same
+        unmasked states (an all-ones mask is bit-equal to no mask), and v(x_0)
+        is ``v0``. Rows go through ``by_kept_count``'s graph-free passes, so
+        the batch's states are held one token budget at a time.
         Returns (logits, normalized attribution (batch, d, C), residual).
         """
-        tokens = token_batch(tokens)
+        c = self.classifier.config
+
+        def one_pass(t, _):  # (rows, 2 + d, C): logits, v(x_1), raw attributions
+            states = self.classifier.block_states(t, None)
+            logits = self.classifier.logits_from_state(states[-1])
+            v1 = ad.softmax(self.surrogate.surrogate_logits(t, None, backbone_states=states))
+            raw = self.explainer.explainer_raw(t, backbone_states=states)
+            return ad.concat([ad.reshape(logits, (-1, 1, c.num_classes)),
+                              ad.reshape(v1, (-1, 1, c.num_classes)), raw], axis=1)
+
         with ad.no_grad():
-            states = self.classifier.block_states(tokens, None)
-            logits = self.classifier.logits_from_state(states[-1]).numpy()
-            raw = self.explainer.explainer_raw(tokens, backbone_states=states).numpy()
-            v1 = ad.softmax(self.surrogate.surrogate_logits(
-                tokens, None, backbone_states=states)).numpy()  # (b, C)
+            out = by_kept_count(one_pass, tokens, None, c.num_tokens).numpy()
+        logits, v1, raw = out[:, 0], out[:, 1], out[:, 2:]
         normalized = efficiency_normalize_grid(raw, v1, self.v0)
         residual = np.abs(normalized.sum(axis=1) - (v1 - self.v0)).max()
         return logits, normalized, float(residual)

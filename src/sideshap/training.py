@@ -119,7 +119,7 @@ def kl_divergence(p_logits: np.ndarray, q_logits: np.ndarray) -> float:
 
 
 def _logsumexp(x):
-    m = x.max(axis=-1, keepdims=True)
+    m = ad.row_max(x)
     return m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
 
 
@@ -294,7 +294,7 @@ def surrogate_mask_values(surrogate: SideTunedModel, tokens_one: np.ndarray,
 
 def _softmax_np(logits):
     logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - ad.row_max(logits)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 

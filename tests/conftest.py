@@ -80,15 +80,26 @@ def count_graph_nodes(out):
     return len(seen)
 
 
-def write_raw_checkpoint(path, role: bytes, config: bytes):
-    """A digest-valid checkpoint with the given raw role and config bytes and no tensors."""
+def write_raw_checkpoint(path, role: bytes, config: bytes, shapes=None):
+    """A digest-valid checkpoint with the given raw role and config bytes.
+
+    ``shapes`` maps tensor names to the dims written in the header, each with
+    a zero payload of as many float32 values; None writes no tensors.
+    """
+    import math
     import struct
 
     from sideshap.checkpoint import FORMAT_VERSION, MAGIC, fnv1a_64
 
+    shapes = shapes or {}
+    tensors = [b"".join([struct.pack("<H", len(name)), name.encode(),
+                         struct.pack(f"<B{len(shape)}Q", len(shape), *shape),
+                         bytes(4 * math.prod(shape))])
+               for name, shape in shapes.items()]
     body = b"".join([MAGIC, struct.pack("<I", FORMAT_VERSION),
                      struct.pack("<H", len(role)), role,
-                     struct.pack("<I", len(config)), config, struct.pack("<I", 0)])
+                     struct.pack("<I", len(config)), config,
+                     struct.pack("<I", len(shapes)), *tensors])
     with open(path, "wb") as f:
         f.write(body + struct.pack("<Q", fnv1a_64(body)))
 

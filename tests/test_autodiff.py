@@ -369,3 +369,75 @@ def test_no_grad_restores_state_after_exception():
     loss = ad.mean(a * 3.0)
     loss.backward()
     np.testing.assert_allclose(a.grad, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# row_max and the softmaxes built on it
+
+
+def _row_max_inputs(dtype):
+    """Rows of 1-80 entries in 1-D, 2-D and 4-D, some holding NaN, +-inf and +-0."""
+    rng = np.random.default_rng(31)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=dtype)
+    for n in range(1, 81):
+        for shape in ((n,), (9, n), (2, 3, 4, n)):
+            x = rng.standard_normal(shape).astype(dtype)
+            yield x
+            yield np.where(rng.random(shape) < 0.3, rng.choice(special, size=shape), x)
+            yield rng.choice(special[3:], size=shape)  # only signed zeros
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_max_equals_numpy_max_byte_for_byte(dtype):
+    for x in _row_max_inputs(dtype):
+        got, want = ad.row_max(x), x.max(axis=-1, keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # numpy's own sign for the zero maximum of a row holding +0 and -0
+        # depends on its SIMD width (float64 rows of 9 on AVX-512); only the value is fixed
+        zeros = x == 0
+        tie = (want == 0) & (np.any(zeros & np.signbit(x), axis=-1, keepdims=True)
+                             & np.any(zeros & ~np.signbit(x), axis=-1, keepdims=True))
+        assert got[~tie].tobytes() == want[~tie].tobytes(), x.shape
+        assert np.all(got[tie] == 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmaxes_equal_their_formulas_on_special_rows(dtype):
+    """The softmaxes subtract the maximum, so a zero's sign never reaches them."""
+    with np.errstate(invalid="ignore"):
+        for x in _row_max_inputs(dtype):
+            assert (ad.softmax(Tensor(x)).numpy().tobytes()
+                    == _softmax_before_row_max(x).tobytes()), x.shape
+            assert (ad.log_softmax(Tensor(x)).numpy().tobytes()
+                    == _log_softmax_before_row_max(x).tobytes()), x.shape
+
+
+def _softmax_before_row_max(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax_before_row_max(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5,), (64, 3), (8, 4, 13, 13), (2, 2, 17, 17), (3, 197)])
+def test_softmaxes_equal_their_max_reduction_formulas(dtype, shape):
+    x = (np.random.default_rng(32).standard_normal(shape) * 30).astype(dtype)
+    assert ad.softmax(Tensor(x)).numpy().tobytes() == _softmax_before_row_max(x).tobytes()
+    assert ad.log_softmax(Tensor(x)).numpy().tobytes() == _log_softmax_before_row_max(x).tobytes()
+
+
+def test_malloc_helper_declines_a_user_setting(monkeypatch):
+    def no_library(*args):
+        raise AssertionError("a user's malloc setting must win; mallopt was looked up")
+
+    monkeypatch.setattr(ad.ctypes, "CDLL", no_library)
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "1000000")
+    assert ad._keep_freed_memory() is False
+    monkeypatch.delenv("MALLOC_TRIM_THRESHOLD_")
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=1000000")
+    assert ad._keep_freed_memory() is False

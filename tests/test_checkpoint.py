@@ -165,6 +165,15 @@ def test_tensor_larger_than_the_body_is_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("shape", [(1,) * 65, (0, 2 ** 62)], ids=["ndim 65", "0 x 2**62"])
+def test_shape_numpy_cannot_build_is_checkpoint_error(tmp_path, shape):
+    # digest-valid, with every payload byte present: only numpy's reshape refuses it
+    path = tmp_path / "m.ckpt"
+    write_raw_checkpoint(path, b"classifier", b"{}", {"w": shape})
+    with pytest.raises(CheckpointError, match="tensor 'w' has a shape numpy cannot build"):
+        load_checkpoint(path)
+
+
 def test_duplicate_tensor_name_is_checkpoint_error(tmp_path):
     import struct
 

@@ -421,6 +421,10 @@ def _malformed_checkpoint(artifacts, path, case):
         return write_raw_checkpoint(path, b"\xffclassifier", b"{}")
     if case == "config not a JSON object":
         return write_raw_checkpoint(path, b"classifier", b"[1, 2]")
+    if case == "tensor of ndim 65":
+        return write_raw_checkpoint(path, b"classifier", b"{}", {"w": (1,) * 65})
+    if case == "tensor of shape (0, 2**62)":
+        return write_raw_checkpoint(path, b"classifier", b"{}", {"w": (0, 2 ** 62)})
     role = "surrogate" if "side" in case else "classifier"
     ck = load_checkpoint(artifacts[role])
     config = dict(ck.config)
@@ -442,7 +446,8 @@ def _malformed_checkpoint(artifacts, path, case):
 @pytest.mark.parametrize("case", [
     "role not UTF-8", "config not a JSON object", "no model block",
     "incomplete model block", "model block of wrong type", "incomplete side block",
-    "side backbone_digest not hex", "side backbone_digest not a string"])
+    "side backbone_digest not hex", "side backbone_digest not a string",
+    "tensor of ndim 65", "tensor of shape (0, 2**62)"])
 def test_malformed_checkpoint_exits_3(pipeline_artifacts, capsys, tmp_path, case):
     bad = str(tmp_path / "bad.ckpt")
     _malformed_checkpoint(pipeline_artifacts, bad, case)

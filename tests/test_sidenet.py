@@ -263,6 +263,51 @@ def test_explain_runs_the_backbone_once(block_state_masks):
     assert block_state_masks == [None]
 
 
+def test_explain_runs_in_passes_within_the_token_budget(block_state_masks, monkeypatch):
+    """Rows of 9 tokens under a 27-token budget: 8 rows take passes of 3, 3 and 2,
+    with the bits of one call per pass and of one whole-batch pass."""
+    from sideshap import transformer
+
+    combined = build_combined(21)
+    x = np.random.default_rng(14).standard_normal((8, 8, 5)).astype(np.float32)
+    whole = combined.explain(x)
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", 27)
+    block_state_masks.clear()
+    logits, phi, residual = combined.explain(x)
+    assert block_state_masks == [None] * 3
+    parts = [combined.explain(x[lo:lo + 3]) for lo in (0, 3, 6)]
+    for got, want in ((logits, np.concatenate([p[0] for p in parts])),
+                      (phi, np.concatenate([p[1] for p in parts]))):
+        assert got.tobytes() == want.tobytes()
+    assert residual == max(p[2] for p in parts)
+    assert logits.tobytes() == whole[0].tobytes() and phi.tobytes() == whole[1].tobytes()
+    assert residual == whole[2]
+
+
+def test_surrogate_forward_records_no_graph_and_keeps_grad_mode(monkeypatch):
+    """Under grad mode it returns the bits of the graph-recording expression, which
+    passes each kept count whole, and grad mode is still on afterwards."""
+    from sideshap import transformer
+
+    sur = full_width_combined().surrogate
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((40, 8, 5)).astype(np.float32)
+    mask = mixed_masks(rng, 40, 8)
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", 20)
+    want = ad.softmax(sur.surrogate_logits(x, mask)).numpy()
+    modes = []
+    block_states = MaskedTransformer.block_states
+
+    def recording(self, tokens, m):
+        modes.append(ad.is_grad_enabled())
+        return block_states(self, tokens, m)
+
+    monkeypatch.setattr(MaskedTransformer, "block_states", recording)
+    assert sur.surrogate_forward(x, mask).tobytes() == want.tobytes()
+    assert modes and not any(modes)
+    assert ad.is_grad_enabled()
+
+
 def test_explain_records_no_graph_and_training_still_does():
     combined = build_combined(17)
     x = np.random.default_rng(9).standard_normal((2, 8, 5)).astype(np.float32)

@@ -1,5 +1,8 @@
 """Training stages: losses, freeze discipline, checkpoint rule, determinism."""
 
+import ctypes
+import os
+
 import numpy as np
 import pytest
 from scipy.special import softmax as sp_softmax
@@ -10,7 +13,7 @@ from sideshap.autodiff import ContractError, OptimizerConfig
 from sideshap.checkpoint import load_checkpoint, save_checkpoint
 from sideshap.data import generate_dataset
 from sideshap.shapley import sample_subsets, shapley_kernel
-from sideshap.sidenet import ROLE_SURROGATE, SideConfig
+from sideshap.sidenet import ROLE_SURROGATE, SideConfig, SideTunedModel
 from sideshap.training import (
     HeadExplainerModel,
     LossRecord,
@@ -23,6 +26,7 @@ from sideshap.training import (
     train_explainer,
     train_froyo,
     train_surrogate,
+    surrogate_mask_values,
 )
 from sideshap.training import (
     _regression_batch,
@@ -60,6 +64,55 @@ def trained_pair():
 
 # ---------------------------------------------------------------------------
 # loss primitives
+
+
+def _softmax_np_before_row_max(logits):
+    logits = np.asarray(logits, dtype=np.float64)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _logsumexp_before_row_max(x):
+    m = x.max(axis=-1, keepdims=True)
+    return m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("shape", [(4,), (300, 2), (7, 10), (5, 40)])
+def test_float64_softmaxes_equal_their_max_reduction_formulas(shape):
+    x = np.random.default_rng(33).standard_normal(shape).astype(np.float32) * 20
+    assert training._softmax_np(x).tobytes() == _softmax_np_before_row_max(x).tobytes()
+    x64 = x.astype(np.float64)
+    assert training._logsumexp(x64).tobytes() == _logsumexp_before_row_max(x64).tobytes()
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+def test_repeated_graph_free_value_pass_reuses_its_heap(monkeypatch):
+    """A 4,096-row value pass at d=12 frees nearly all it allocates; the next one
+    reuses that memory instead of faulting it in again (about 100k minor faults
+    per pass with glibc's default trimming)."""
+    import resource
+
+    for name in [k for k in os.environ if k.startswith("MALLOC_") or k == "GLIBC_TUNABLES"]:
+        monkeypatch.delenv(name)
+    assert ad._keep_freed_memory()  # as at import, where the user leaves malloc alone
+    config = ModelConfig(depth=2, hidden=32, heads=4, num_tokens=12,
+                         token_input_dim=6, num_classes=2)
+    sur = SideTunedModel(MaskedTransformer(config, seed=0), SideConfig(reduction=1), seed=1)
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((12, 6)).astype(np.float32)
+    masks = (rng.random((4096, 12)) < 0.5).astype(np.float32)
+    surrogate_mask_values(sur, x, masks)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    surrogate_mask_values(sur, x, masks)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000
 
 
 def test_kl_divergence_known_value():
