@@ -6,12 +6,14 @@ The effective configuration is written next to every produced artifact.
 
 Exit codes: 0 success, 1 usage error, 2 invariant/bound check failure
 (an out-of-range value, a diverged training run or a branch trained on
-another classifier included), 3 I/O failure (a malformed checkpoint included).
+another classifier included), 3 I/O failure (a malformed checkpoint, or one
+that cannot build its own model, included).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -32,19 +34,19 @@ from .sidenet import (
     CombinedModel,
     SideConfig,
     SideTunedModel,
+    count_side_params,
 )
 from .training import (
     StageConfig,
     geometric_decay_experiment,
     state_digest,
-    surrogate_mask_values,
     train_classifier,
     train_duo,
     train_explainer,
     train_froyo,
     train_surrogate,
 )
-from .transformer import PRESETS, MaskedTransformer, ModelConfig
+from .transformer import PRESETS, MaskedTransformer, ModelConfig, count_params
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,11 +203,20 @@ def _stage_config(cfg: dict) -> StageConfig:
     )
 
 
+@contextlib.contextmanager
+def _malformed(path):
+    """A ContractError inside is a CheckpointError: the file cannot build its own model."""
+    try:
+        yield
+    except ContractError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
 def _config_block(ck, path, name, cls):
     """``cls`` built from the checkpoint's ``name`` block.
 
     CheckpointError unless the block holds exactly ``cls``'s fields, each of
-    its field's type (an int passes as a float).
+    its field's type (an int passes as a float), with values ``cls`` accepts.
     """
     block = ck.config.get(name)
     types = typing.get_type_hints(cls)
@@ -213,13 +224,28 @@ def _config_block(ck, path, name, cls):
             type(block[k]) is t or (t is float and type(block[k]) is int)
             for k, t in types.items())):
         raise CheckpointError(f"{path}: malformed {name!r} block {block!r}")
-    return cls(**block)
+    with _malformed(path):
+        return cls(**block)
+
+
+def _check_size(ck, path, needed: int):
+    """CheckpointError unless the state holds ``needed`` numbers.
+
+    Checked before a model is built, so a config that claims a larger model
+    than the file holds is refused before any weight is allocated.
+    """
+    stored = sum(a.size for a in ck.state.values())
+    if stored != needed:
+        raise CheckpointError(f"{path}: {stored} stored parameters, but its config needs {needed}")
 
 
 def _load_classifier(path) -> MaskedTransformer:
     ck = load_checkpoint(path, expected_role="classifier")
-    model = MaskedTransformer(_config_block(ck, path, "model", ModelConfig), seed=0)
-    model.load_state(ck.state)
+    config = _config_block(ck, path, "model", ModelConfig)
+    _check_size(ck, path, count_params(config))
+    model = MaskedTransformer(config, seed=0)
+    with _malformed(path):
+        model.load_state(ck.state)
     return model
 
 
@@ -228,7 +254,8 @@ def _load_branch(path, classifier, role, classifier_digest) -> SideTunedModel:
 
     A checkpoint's ``backbone_digest`` names the classifier state it was
     trained on; only then is ``classifier_digest()`` called, and a mismatch
-    is a ContractError. A checkpoint without the key loads unchecked.
+    is a ContractError. A checkpoint without the key loads unchecked. A
+    branch that cannot be built from its own blocks and state is a CheckpointError.
     """
     ck = load_checkpoint(path, expected_role=role)
     if _config_block(ck, path, "model", ModelConfig) != classifier.config:
@@ -247,8 +274,10 @@ def _load_branch(path, classifier, role, classifier_digest) -> SideTunedModel:
         if bound != digest:
             raise ContractError(f"{role} {path} was trained on classifier state {bound}, "
                                 f"not on this classifier's {digest}")
-    branch = SideTunedModel(classifier, side, seed=0)
-    branch.load_side_state(ck.state)
+    with _malformed(path):
+        _check_size(ck, path, count_side_params(classifier.config, side))
+        branch = SideTunedModel(classifier, side, seed=0)
+        branch.load_side_state(ck.state)
     return branch
 
 
@@ -394,7 +423,7 @@ def cmd_evaluate(args):
     xs = x_test[np.random.default_rng(args.seed).permutation(len(x_test))[:args.samples]]
     logits, phi, residual = combined.explain(xs)  # the residual is the batch's largest
     curves = [insertion_deletion(
-        lambda masks: surrogate_mask_values(combined.surrogate, x, masks)[:, c], a[:, c])
+        lambda masks: combined.surrogate.surrogate_forward(x[None], masks)[:, c], a[:, c])
         for x, a, c in zip(xs, phi, np.argmax(logits, axis=1))]
     _check_residual(residual)
     result = {"samples": len(xs),

@@ -25,9 +25,13 @@ from .transformer import (
     block_param_count,
     by_kept_count,
     class_logits,
+    class_probs,
     load_named_state,
+    mlp_width,
     named_layer_parameters,
+    null_value,
     state_snapshot,
+    value_logits,
 )
 
 ROLE_SURROGATE = "surrogate"
@@ -55,13 +59,8 @@ class SideConfig:
         return hidden // self.reduction
 
     def side_mlp_hidden(self, config: ModelConfig) -> int:
-        """MLP width of the side blocks, round(mlp_ratio * side_hidden); 0 is refused."""
-        hs = self.side_hidden(config.hidden)
-        width = int(round(config.mlp_ratio * hs))
-        if width < 1:
-            raise ContractError(
-                f"side MLP width round(mlp_ratio={config.mlp_ratio} * side_hidden={hs}) is 0")
-        return width
+        """MLP width of the side blocks, round(mlp_ratio * side_hidden) (see ``mlp_width``)."""
+        return mlp_width(config.mlp_ratio, self.side_hidden(config.hidden))
 
     def to_dict(self):
         return asdict(self)
@@ -132,9 +131,8 @@ class SideTunedModel:
         return self._surrogate_head(backbone_states)
 
     def surrogate_forward(self, tokens: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-        """Class probability distribution for masked input x_s; no autodiff graph is recorded."""
-        with ad.no_grad():
-            return ad.softmax(self.surrogate_logits(tokens, mask)).numpy()
+        """Float64 coalition values v(x_s) of masked input x_s; no autodiff graph is recorded."""
+        return class_probs(value_logits(self.surrogate_logits, tokens, mask))
 
     def explainer_raw(self, tokens: np.ndarray, backbone_states=None) -> Tensor:
         """Unconstrained attribution grid of shape (batch, d, num_classes)."""
@@ -178,7 +176,7 @@ class CombinedModel:
     explainer branch. y_main is produced by the untouched classifier path,
     so it is bit-identical to the standalone classifier output. The
     classifier and both branches are frozen once wrapped: ``v0``, the
-    surrogate's (1, C) v(x_0), is computed here, once.
+    surrogate's float64 (1, C) v(x_0), is computed here, once.
     """
 
     def __init__(self, classifier: MaskedTransformer, surrogate: SideTunedModel,
@@ -192,33 +190,31 @@ class CombinedModel:
         self.classifier = classifier
         self.surrogate = surrogate
         self.explainer = explainer
-        c = classifier.config
-        # the empty coalition reads no input token: one row serves all
-        self.v0 = surrogate.surrogate_forward(
-            np.zeros((1, c.num_tokens, c.token_input_dim)), np.zeros((1, c.num_tokens)))
+        self.v0 = null_value(surrogate.surrogate_logits, classifier.config)
 
     def explain(self, tokens: np.ndarray):
         """Prediction plus efficiency-normalized attributions for all classes.
 
-        The backbone runs once per row: v(x_1) is the surrogate on the same
-        unmasked states (an all-ones mask is bit-equal to no mask), and v(x_0)
-        is ``v0``. Rows go through ``by_kept_count``'s graph-free passes, so
-        the batch's states are held one token budget at a time.
+        The backbone runs once per row: v(x_1) is ``class_probs`` of the
+        surrogate's logits on the same unmasked states (an all-ones mask is
+        bit-equal to no mask), and v(x_0) is ``v0``. Rows go through
+        ``by_kept_count``'s graph-free passes, so the batch's states are held
+        one token budget at a time.
         Returns (logits, normalized attribution (batch, d, C), residual).
         """
         c = self.classifier.config
 
-        def one_pass(t, _):  # (rows, 2 + d, C): logits, v(x_1), raw attributions
+        def one_pass(t, _):  # (rows, 2 + d, C): logits, surrogate logits, raw attributions
             states = self.classifier.block_states(t, None)
             logits = self.classifier.logits_from_state(states[-1])
-            v1 = ad.softmax(self.surrogate.surrogate_logits(t, None, backbone_states=states))
+            sur = self.surrogate.surrogate_logits(t, None, backbone_states=states)
             raw = self.explainer.explainer_raw(t, backbone_states=states)
             return ad.concat([ad.reshape(logits, (-1, 1, c.num_classes)),
-                              ad.reshape(v1, (-1, 1, c.num_classes)), raw], axis=1)
+                              ad.reshape(sur, (-1, 1, c.num_classes)), raw], axis=1)
 
         with ad.no_grad():
             out = by_kept_count(one_pass, tokens, None, c.num_tokens).numpy()
-        logits, v1, raw = out[:, 0], out[:, 1], out[:, 2:]
+        logits, v1, raw = out[:, 0], class_probs(out[:, 1]), out[:, 2:]
         normalized = efficiency_normalize_grid(raw, v1, self.v0)
         residual = np.abs(normalized.sum(axis=1) - (v1 - self.v0)).max()
         return logits, normalized, float(residual)

@@ -37,9 +37,12 @@ from .sidenet import (
 from .transformer import (
     MaskedTransformer,
     ModelConfig,
+    class_probs,
     load_named_state,
     named_layer_parameters,
+    null_value,
     state_snapshot,
+    value_logits,
 )
 
 
@@ -199,16 +202,6 @@ def _check_frozen(model, before: str, stage: str):
             f"invariant violation: backbone parameters changed during {stage} training")
 
 
-def _value_logits(logits_fn, tokens, masks=None):
-    """``logits_fn(tokens, masks)`` as a numpy array, recording no autodiff graph.
-
-    ``logits_fn`` is a value function such as ``MaskedTransformer.forward``
-    or ``SideTunedModel.surrogate_logits``; ``masks`` None means unmasked.
-    """
-    with ad.no_grad():
-        return logits_fn(tokens, masks).numpy()
-
-
 # ---------------------------------------------------------------------------
 # stage 1: classifier
 
@@ -229,13 +222,13 @@ def train_classifier(dataset: SyntheticDataset, model_config: ModelConfig,
                   model.named_parameters(), step_loss,
                   lambda: _classifier_val_loss(model, x_val, y_val))
     record.extra["val_accuracy"] = accuracy(
-        _value_logits(model.forward, x_val), y_val)
+        value_logits(model.forward, x_val), y_val)
     return model, record
 
 
 def _classifier_val_loss(model, x_val, y_val):
     """``_mse_class_loss`` of the classifier on the validation split, in float64."""
-    logits = _value_logits(model.forward, x_val).astype(np.float64)
+    logits = value_logits(model.forward, x_val).astype(np.float64)
     return _mse_class_loss(Tensor(logits), y_val, model.config.num_classes).item()
 
 
@@ -264,8 +257,9 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
     x_sel = x_val[val_rng.permutation(len(x_val))[:n_val]]
     val_masks = sample_equicardinality_masks(d, n_val * 4, val_rng)
     val_x = np.repeat(x_sel, 4, axis=0)
-    val_p = np.repeat(_value_logits(classifier.forward, x_sel), 4, axis=0)
-    train_p = ad.softmax(Tensor(_value_logits(classifier.forward, x_train))).numpy()
+    val_p = np.repeat(value_logits(classifier.forward, x_sel), 4, axis=0)
+    # float32 on purpose: a KL target, not a coalition value, so not ``class_probs``
+    train_p = ad.softmax(Tensor(value_logits(classifier.forward, x_train))).numpy()
 
     def step_loss(idx):
         xb = x_train[idx]
@@ -275,7 +269,7 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
 
     record = _fit("surrogate", config, rng, len(x_train), config.inputs_per_batch,
                   model.named_side_parameters(), step_loss,
-                  lambda: kl_divergence(val_p, _value_logits(
+                  lambda: kl_divergence(val_p, value_logits(
                       model.surrogate_logits, val_x, val_masks)))
     _check_frozen(classifier, backbone_before, "surrogate")
     record.extra["backbone_digest"] = backbone_before
@@ -284,19 +278,6 @@ def train_surrogate(classifier: MaskedTransformer, dataset: SyntheticDataset,
 
 # ---------------------------------------------------------------------------
 # stage 3: explainer
-
-
-def surrogate_mask_values(surrogate: SideTunedModel, tokens_one: np.ndarray,
-                          masks: np.ndarray) -> np.ndarray:
-    """Surrogate class probabilities for one input, broadcast over many masks."""
-    return _softmax_np(_value_logits(surrogate.surrogate_logits, tokens_one[None], masks))
-
-
-def _softmax_np(logits):
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits - ad.row_max(logits)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _shapley_regression_loss(raw: Tensor, masks: np.ndarray, targets: np.ndarray,
@@ -320,33 +301,29 @@ def _shapley_regression_loss(raw: Tensor, masks: np.ndarray, targets: np.ndarray
     return ad.mean(ad.tensor_sum(w * err, axis=-1))
 
 
-def _regression_batch(logits_fn, v1, x, y, masks, m, label_mode):
+def _regression_batch(logits_fn, v1, v0, x, y, masks, m, label_mode):
     """``_shapley_regression_loss``'s masks, targets, diffs and weights for x under masks.
 
-    ``v1`` is v(x_1) from the unmasked pass the caller already makes. Each
-    input's m masks are evaluated in one graph-free call of the value function
-    ``logits_fn``. The empty mask reads no input token, so one one-row pass
-    gives every input's v(x_0). The weights are the one-hot label
-    (``label_mode == "label"``) or v(x_1).
+    ``v1`` and ``v0`` are the caller's v(x_1) and v(x_0); all m masks of every
+    input take one graph-free call of ``logits_fn``. The weights are the
+    one-hot label (``label_mode == "label"``) or v(x_1).
     """
     n_in, d = len(x), masks.shape[1]
-    vals = _softmax_np(_value_logits(logits_fn, np.repeat(x, m, axis=0), masks))
-    v0 = _softmax_np(_value_logits(logits_fn, x[:1], np.zeros((1, d))))  # (1, C)
+    vals = class_probs(value_logits(logits_fn, np.repeat(x, m, axis=0), masks))
     weights = np.eye(v1.shape[1], dtype=np.float64)[y] if label_mode == "label" else v1
     return masks.reshape(n_in, m, d), vals.reshape(n_in, m, -1) - v0, v1 - v0, weights
 
 
-def _explainer_batch(surrogate: SideTunedModel, x, y, masks, m, label_mode):
+def _explainer_batch(surrogate: SideTunedModel, v0, x, y, masks, m, label_mode):
     """The unmasked backbone states (numpy) of x, then its ``_regression_batch``.
 
     The surrogate and the backbone are frozen, so no graph is recorded.
     """
     with ad.no_grad():
         states = surrogate.backbone.block_states(x, None)
-        v1 = _softmax_np(
-            surrogate.surrogate_logits(x, None, backbone_states=states).numpy())
+        v1 = class_probs(surrogate.surrogate_logits(x, None, backbone_states=states).numpy())
     return ([s.numpy() for s in states],
-            *_regression_batch(surrogate.surrogate_logits, v1, x, y, masks, m, label_mode))
+            *_regression_batch(surrogate.surrogate_logits, v1, v0, x, y, masks, m, label_mode))
 
 
 def _explainer_loss(explainer: SideTunedModel, x, batch, rows) -> Tensor:
@@ -372,14 +349,15 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
     m, mode = config.masks_per_input, config.label_mode
     dist = shapley_kernel(dataset.d)
 
-    # The surrogate and the backbone are frozen, so the validation inputs
-    # are built once, and so is every training input under a mask bank.
+    # The surrogate and the backbone are frozen, so v(x_0) and the validation
+    # inputs are built once, and so is every training input under a mask bank.
+    v0 = null_value(surrogate.surrogate_logits, surrogate.backbone.config)
     val_rng = np.random.default_rng(config.seed + 2)
     n_val = min(32, len(x_val))
     val_idx = val_rng.permutation(len(x_val))[:n_val]
     val_masks = sample_subsets(dist, n_val * m, True, val_rng)
     x_sel = x_val[val_idx]
-    val_batch = _explainer_batch(surrogate, x_sel, y_val[val_idx], val_masks, m, mode)
+    val_batch = _explainer_batch(surrogate, v0, x_sel, y_val[val_idx], val_masks, m, mode)
 
     def val_loss():
         with ad.no_grad():
@@ -388,14 +366,14 @@ def train_explainer(surrogate: SideTunedModel, dataset: SyntheticDataset,
     bank = config.mask_bank
     if bank:
         bank_masks = sample_subsets(dist, len(x_train) * bank, True, rng)
-        bank_batch = _explainer_batch(surrogate, x_train, y_train, bank_masks, bank, mode)
+        bank_batch = _explainer_batch(surrogate, v0, x_train, y_train, bank_masks, bank, mode)
 
     def step_loss(idx):
         if bank:
             return _explainer_loss(explainer, x_train, bank_batch, idx)
         masks = sample_subsets(dist, len(idx) * m, True, rng)
         xb = x_train[idx]
-        batch = _explainer_batch(surrogate, xb, y_train[idx], masks, m, mode)
+        batch = _explainer_batch(surrogate, v0, xb, y_train[idx], masks, m, mode)
         return _explainer_loss(explainer, xb, batch, slice(None))
 
     record = _fit("explainer", config, rng, len(x_train), config.inputs_per_batch,
@@ -446,18 +424,22 @@ class HeadExplainerModel:
         return state_snapshot(self.named_parameters())
 
 
-def _head_explainer_loss(raw: Tensor, v1, classifier: MaskedTransformer, xb, yb,
-                         config: StageConfig, dist, rng) -> Tensor:
-    """Shapley regression loss of ``raw`` on fresh paired kernel draws from ``dist``.
+def _head_explainer_loss(classifier: MaskedTransformer, x, y, config: StageConfig, rng):
+    """``loss(raw, idx)``: Shapley regression loss of ``raw`` for rows ``idx`` of x.
 
-    The value function is ``classifier``, which no head pipeline moves, so
-    the targets do not drift as a trained encoder moves; ``v1`` is its
-    v(x_1), which the stage computes once.
+    Each call draws fresh paired kernel masks. The value function is
+    ``classifier``, which no head pipeline moves, so its v(x_1) and v(x_0)
+    are computed once and the targets do not drift as a trained encoder moves.
     """
-    m = config.masks_per_input
-    masks = sample_subsets(dist, len(xb) * m, True, rng)
-    return _shapley_regression_loss(raw, *_regression_batch(
-        classifier.forward, v1, xb, yb, masks, m, config.label_mode))
+    m, dist = config.masks_per_input, shapley_kernel(x.shape[1])
+    v1 = class_probs(value_logits(classifier.forward, x))
+    v0 = null_value(classifier.forward, classifier.config)
+
+    def loss(raw, idx):
+        masks = sample_subsets(dist, len(idx) * m, True, rng)
+        return _shapley_regression_loss(raw, *_regression_batch(
+            classifier.forward, v1[idx], v0, x[idx], y[idx], masks, m, config.label_mode))
+    return loss
 
 
 def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
@@ -467,15 +449,12 @@ def train_froyo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     model.net.set_trainable(False)
     frozen_before = state_digest(model.net.named_parameters())
     rng = np.random.default_rng(config.seed)
-    dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")
-    v1 = _softmax_np(_value_logits(classifier.forward, x_train))  # v(x_1), once per stage
+    explainer_loss = _head_explainer_loss(classifier, x_train, y_train, config, rng)
 
     def step_loss(idx):
-        xb = x_train[idx]
-        _, raw = model.forward_both(xb)
-        return _head_explainer_loss(raw, v1[idx], classifier, xb, y_train[idx],
-                                    config, dist, rng)
+        _, raw = model.forward_both(x_train[idx])
+        return explainer_loss(raw, idx)
 
     record = _fit("froyo", config, rng, len(x_train), config.inputs_per_batch,
                   model.expl_head_parameters(), step_loss)
@@ -506,16 +485,15 @@ def train_duo(classifier: MaskedTransformer, dataset: SyntheticDataset,
     all_params = list(model.named_parameters().values())
     encoder_params = list(model.encoder_parameters().values())
     conflict_trace = []
-    dist = shapley_kernel(dataset.d)
     x_train, y_train = dataset.split("train")
-    v1 = _softmax_np(_value_logits(classifier.forward, x_train))  # v(x_1), once per stage
+    explainer_loss = _head_explainer_loss(classifier, x_train, y_train, config, rng)
 
     def step_loss(idx):
         xb, yb = x_train[idx], y_train[idx]
         logits, raw = model.forward_both(xb)
         cls_loss = _mse_class_loss(logits, yb, dataset.num_classes)
         g_cls = _gradients(cls_loss, all_params)
-        expl_loss = _head_explainer_loss(raw, v1[idx], classifier, xb, yb, config, dist, rng)
+        expl_loss = explainer_loss(raw, idx)
         g_expl = _gradients(expl_loss, all_params)
         g1 = np.concatenate([g_cls[id(p)].ravel() for p in encoder_params])
         g2 = np.concatenate([g_expl[id(p)].ravel() for p in encoder_params])

@@ -30,23 +30,33 @@ class ModelConfig:
     use_positional: bool = True
 
     def __post_init__(self):
-        if min(self.depth, self.hidden, self.heads) < 1:
-            raise ContractError("depth, hidden and heads must be >= 1")
+        if min(self.depth, self.hidden, self.heads, self.token_input_dim, self.num_classes) < 1:
+            raise ContractError(
+                "depth, hidden, heads, token_input_dim and num_classes must be >= 1")
         if self.hidden % self.heads != 0:
             raise ContractError(f"hidden={self.hidden} not divisible by heads={self.heads}")
         if self.num_tokens < 2:
             raise ContractError("num_tokens must be >= 2")
-        if not (np.isfinite(self.mlp_ratio) and self.mlp_ratio > 0 and self.mlp_hidden >= 1):
-            raise ContractError(
-                f"mlp_ratio={self.mlp_ratio} must be finite and > 0 with "
-                f"round(mlp_ratio * hidden) >= 1")
+        mlp_width(self.mlp_ratio, self.hidden)  # refuses a width no array can take
 
     @property
     def mlp_hidden(self) -> int:
-        return int(round(self.mlp_ratio * self.hidden))
+        return mlp_width(self.mlp_ratio, self.hidden)
 
     def to_dict(self):
         return asdict(self)
+
+
+def mlp_width(ratio, width: int) -> int:
+    """round(ratio * width), the MLP width of a block ``width`` wide.
+
+    ContractError unless ``ratio * width`` is a number in (0, 2**63), below
+    the largest size numpy can build, that rounds to at least 1.
+    """
+    if not (width < 2 ** 63 and 0 < ratio * width < 2 ** 63 and round(ratio * width) >= 1):
+        raise ContractError(
+            f"MLP width round(mlp_ratio={ratio} * {width}) is not an integer in [1, 2**63)")
+    return int(round(ratio * width))
 
 
 # architecture tables for analytic count reproduction; no weights attached
@@ -222,6 +232,25 @@ def by_kept_count(run, tokens: np.ndarray, mask: np.ndarray | None, num_tokens: 
     outs = [run(tokens[rows], None if mask is None else mask[rows])
             for rows in np.split(order, cuts[1:])]
     return ad.take(ad.concat(outs, axis=0), np.argsort(order))
+
+
+def value_logits(logits_fn, tokens: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
+    """Numpy logits of a frozen value function such as ``MaskedTransformer.forward``
+    (``masks`` None: unmasked), recording no autodiff graph."""
+    with ad.no_grad():
+        return logits_fn(tokens, masks).numpy()
+
+
+def class_probs(logits: np.ndarray) -> np.ndarray:
+    """Float64 class probabilities of value logits: the one map from logits to v(s)."""
+    return ad.softmax(Tensor(logits, dtype=np.float64)).numpy()
+
+
+def null_value(logits_fn, config: ModelConfig) -> np.ndarray:
+    """v(x_0), (1, C): the empty mask reads no input token, so one zero row serves all."""
+    d = config.num_tokens
+    return class_probs(value_logits(logits_fn, np.zeros((1, d, config.token_input_dim)),
+                                    np.zeros((1, d))))
 
 
 class MaskedTransformer:

@@ -39,7 +39,6 @@ from sideshap.training import (
     StageConfig,
     kl_divergence,
     state_digest,
-    surrogate_mask_values,
     geometric_decay_experiment,
     train_classifier,
     train_duo,
@@ -140,7 +139,7 @@ def linear12():
     exact = np.empty_like(phi)
     tables = []
     for i in range(50):
-        vals = surrogate_mask_values(sur, x_held[i], subsets)  # (4096, C)
+        vals = sur.surrogate_forward(x_held[i][None], subsets)  # (4096, C)
         tables.append(vals)
         for c in range(vals.shape[1]):
             game = Game(12, lambda ms, v=vals[:, c]: v[
@@ -426,7 +425,7 @@ def test_13_faithfulness_direction(report, planted12):
     weights = 1 << np.arange(12)
     oracle_attr = np.empty((n_oracle, 12))
     for i in range(n_oracle):
-        vals = surrogate_mask_values(sur, x_all[i], subsets)[:, pred[i]]
+        vals = sur.surrogate_forward(x_all[i][None], subsets)[:, pred[i]]
         game = Game(12, lambda ms, v=vals: v[
             np.asarray(ms).astype(np.int64) @ weights])
         oracle_attr[i] = exact_shapley(game)

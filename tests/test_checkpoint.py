@@ -187,6 +187,74 @@ def test_duplicate_tensor_name_is_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+def _small_classifier_body() -> bytes:
+    """The body (the file without its digest) of a valid 182-parameter classifier checkpoint."""
+    import tempfile
+
+    from sideshap.transformer import MaskedTransformer, ModelConfig
+
+    config = ModelConfig(depth=1, hidden=4, heads=2, num_tokens=2, token_input_dim=2,
+                         num_classes=2, mlp_ratio=1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/c.ckpt"
+        save_checkpoint(path, "classifier", {"model": config.to_dict()},
+                        MaskedTransformer(config).state_dict())
+        with open(path, "rb") as f:
+            return f.read()[:-8]
+
+
+SMALL_BODY = _small_classifier_body()
+MUTATION = st.tuples(st.sampled_from(["flip", "insert", "delete", "truncate"]),
+                     st.integers(0, len(SMALL_BODY) - 1), st.integers(1, 255))
+
+
+def _mutated(body: bytes, mutations) -> bytes:
+    for kind, at, byte in mutations:
+        at %= max(len(body), 1)
+        if kind == "flip":
+            body = body[:at] + bytes([body[at] ^ byte]) + body[at + 1:] if body else body
+        elif kind == "insert":
+            body = body[:at] + bytes([byte]) + body[at:]
+        elif kind == "delete":
+            body = body[:at] + body[at + 1:]
+        else:
+            body = body[:at]
+    return body
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_digest_valid_body_loads_or_is_checkpoint_error(mutations):
+    """Flipped, inserted or deleted bytes, or a cut, with the digest made valid again:
+    ``load_checkpoint`` and the CLI's classifier loader each load the file or raise
+    CheckpointError, and nothing else."""
+    import struct
+    import tempfile
+
+    from sideshap.cli import _load_classifier
+
+    body = _mutated(SMALL_BODY, mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/m.ckpt"
+        with open(path, "wb") as f:
+            f.write(body + struct.pack("<Q", fnv1a_64(body)))
+        for load in (load_checkpoint, _load_classifier):
+            try:
+                load(path)
+            except CheckpointError:
+                pass
+
+
+def test_unmutated_small_body_loads_as_a_classifier(tmp_path):
+    import struct
+
+    from sideshap.cli import _load_classifier
+
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(SMALL_BODY + struct.pack("<Q", fnv1a_64(SMALL_BODY)))
+    assert _load_classifier(path).config.hidden == 4
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IOError):
         load_checkpoint(tmp_path / "nope.ckpt")

@@ -427,27 +427,47 @@ def _malformed_checkpoint(artifacts, path, case):
         return write_raw_checkpoint(path, b"classifier", b"{}", {"w": (0, 2 ** 62)})
     role = "surrogate" if "side" in case else "classifier"
     ck = load_checkpoint(artifacts[role])
-    config = dict(ck.config)
+    config, state = dict(ck.config), dict(ck.state)
     if case == "no model block":
         del config["model"]
     elif case == "incomplete model block":
         config["model"] = {k: v for k, v in config["model"].items() if k != "heads"}
     elif case == "model block of wrong type":
         config["model"] = dict(config["model"], depth="2")
+    elif case == "model block out of range":
+        config["model"] = dict(config["model"], depth=0)
+    elif case == "model block with token_input_dim 0":
+        config["model"] = dict(config["model"], token_input_dim=0)
+    elif case == "model block with an unbuildable MLP width":
+        config["model"] = dict(config["model"], mlp_ratio=1e300)
+    elif case == "model block claiming a 50M-parameter model":
+        config["model"] = dict(config["model"], hidden=1024, depth=4)
+    elif case in ("tensor missing", "side tensor missing"):
+        del state[sorted(state)[0]]
+    elif case == "tensor transposed":
+        state["head.weight"] = state["head.weight"].T
+    elif case == "side block out of range":
+        config["side"] = dict(config["side"], reduction=0)
+    elif case == "side block whose reduction does not divide hidden":
+        config["side"] = dict(config["side"], reduction=3)
     elif case == "side backbone_digest not hex":
         config["backbone_digest"] = "g" * 64
     elif case == "side backbone_digest not a string":
         config["backbone_digest"] = None
     else:
         config["side"] = {"reduction": 2}
-    save_checkpoint(path, role, config, ck.state)
+    save_checkpoint(path, role, config, state)
 
 
 @pytest.mark.parametrize("case", [
     "role not UTF-8", "config not a JSON object", "no model block",
     "incomplete model block", "model block of wrong type", "incomplete side block",
     "side backbone_digest not hex", "side backbone_digest not a string",
-    "tensor of ndim 65", "tensor of shape (0, 2**62)"])
+    "tensor of ndim 65", "tensor of shape (0, 2**62)", "model block out of range",
+    "model block with token_input_dim 0",
+    "model block with an unbuildable MLP width", "model block claiming a 50M-parameter model",
+    "tensor missing", "tensor transposed", "side block out of range",
+    "side block whose reduction does not divide hidden", "side tensor missing"])
 def test_malformed_checkpoint_exits_3(pipeline_artifacts, capsys, tmp_path, case):
     bad = str(tmp_path / "bad.ckpt")
     _malformed_checkpoint(pipeline_artifacts, bad, case)
@@ -463,6 +483,25 @@ def test_malformed_checkpoint_exits_3(pipeline_artifacts, capsys, tmp_path, case
     assert err.startswith("i/o error:") and "bad.ckpt" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_checkpoint_claiming_a_larger_model_allocates_nothing(pipeline_artifacts, tmp_path,
+                                                             monkeypatch):
+    """A 50M-parameter model block on a few kB of tensors is refused by its size,
+    before any model is constructed."""
+    from sideshap import cli
+    from sideshap.checkpoint import CheckpointError
+    from sideshap.transformer import MaskedTransformer
+
+    bad = str(tmp_path / "bad.ckpt")
+    _malformed_checkpoint(pipeline_artifacts, bad, "model block claiming a 50M-parameter model")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a MaskedTransformer was constructed")
+
+    monkeypatch.setattr(MaskedTransformer, "__init__", refuse)
+    with pytest.raises(CheckpointError, match="stored parameters"):
+        cli._load_classifier(bad)
 
 
 @pytest.mark.parametrize("command", ["explain", "train-explainer"])
@@ -524,22 +563,21 @@ def test_empty_validation_split_exits_3(pipeline_artifacts, capsys, tmp_path):
 def test_evaluate_explains_every_sample_in_one_call(pipeline_artifacts, capsys, tmp_path,
                                                      monkeypatch):
     """One ``explain`` of all 7 samples, then one value pass of 2(d+1) rows per curve pair."""
-    from sideshap import cli
-    from sideshap.sidenet import CombinedModel
+    from sideshap.sidenet import CombinedModel, SideTunedModel
 
     explained, valued = [], []
-    explain, surrogate_mask_values = CombinedModel.explain, cli.surrogate_mask_values
+    explain, surrogate_forward = CombinedModel.explain, SideTunedModel.surrogate_forward
 
     def recording_explain(self, tokens):
         explained.append(len(tokens))
         return explain(self, tokens)
 
-    def recording_values(surrogate, tokens_one, masks):
+    def recording_values(self, tokens, masks):
         valued.append(len(masks))
-        return surrogate_mask_values(surrogate, tokens_one, masks)
+        return surrogate_forward(self, tokens, masks)
 
     monkeypatch.setattr(CombinedModel, "explain", recording_explain)
-    monkeypatch.setattr(cli, "surrogate_mask_values", recording_values)
+    monkeypatch.setattr(SideTunedModel, "surrogate_forward", recording_values)
     code, stdout, _ = _evaluate(capsys, pipeline_artifacts, pipeline_artifacts["data"],
                                 tmp_path / "eval.json", "7")
     assert code == EXIT_OK and json.loads(stdout)["samples"] == 7
@@ -620,6 +658,10 @@ BOUNDARY_CASES = [
     ("train-classifier", ["--set", "model.mlp_ratio=nan"],
      EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
     ("train-classifier", ["--set", "model.mlp_ratio=inf"],
+     EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
+    ("train-classifier", ["--set", "model.mlp_ratio=1e308"],
+     EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
+    ("train-classifier", ["--set", "model.mlp_ratio=1e300"],
      EXIT_CHECK_FAILED, "contract violation:", "mlp_ratio"),
     ("train-froyo", ["--set", "train.step_size=1e30"],
      EXIT_CHECK_FAILED, "training diverged:", "froyo diverged at epoch 0"),

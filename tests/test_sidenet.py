@@ -14,7 +14,14 @@ from sideshap.sidenet import (
     count_side_params,
     make_explainer_from_surrogate,
 )
-from sideshap.transformer import PRESETS, MaskedTransformer, ModelConfig, count_params
+from sideshap.shapley import efficiency_normalize_grid
+from sideshap.transformer import (
+    PRESETS,
+    MaskedTransformer,
+    ModelConfig,
+    class_probs,
+    count_params,
+)
 
 from conftest import (
     key_bias_surrogate_logits,
@@ -285,8 +292,8 @@ def test_explain_runs_in_passes_within_the_token_budget(block_state_masks, monke
 
 
 def test_surrogate_forward_records_no_graph_and_keeps_grad_mode(monkeypatch):
-    """Under grad mode it returns the bits of the graph-recording expression, which
-    passes each kept count whole, and grad mode is still on afterwards."""
+    """Under grad mode it returns the float64 ``class_probs`` of the graph-recording
+    expression, which passes each kept count whole, and grad mode is still on afterwards."""
     from sideshap import transformer
 
     sur = full_width_combined().surrogate
@@ -294,7 +301,7 @@ def test_surrogate_forward_records_no_graph_and_keeps_grad_mode(monkeypatch):
     x = rng.standard_normal((40, 8, 5)).astype(np.float32)
     mask = mixed_masks(rng, 40, 8)
     monkeypatch.setattr(transformer, "_PASS_TOKENS", 20)
-    want = ad.softmax(sur.surrogate_logits(x, mask)).numpy()
+    want = class_probs(sur.surrogate_logits(x, mask).numpy())
     modes = []
     block_states = MaskedTransformer.block_states
 
@@ -306,6 +313,65 @@ def test_surrogate_forward_records_no_graph_and_keeps_grad_mode(monkeypatch):
     assert sur.surrogate_forward(x, mask).tobytes() == want.tobytes()
     assert modes and not any(modes)
     assert ad.is_grad_enabled()
+
+
+def _float32_value_explain(combined, tokens):
+    """``CombinedModel.explain`` as it was with float32 coalition values: v(x_1) and
+    v(x_0) through ``ad.softmax`` of the float32 surrogate logits, not ``class_probs``."""
+    d = tokens.shape[1]
+    with ad.no_grad():
+        states = combined.classifier.block_states(tokens, None)
+        logits = combined.classifier.logits_from_state(states[-1]).numpy()
+        v1 = ad.softmax(combined.surrogate.surrogate_logits(
+            tokens, None, backbone_states=states)).numpy()
+        v0 = ad.softmax(combined.surrogate.surrogate_logits(
+            tokens[:1], np.zeros((1, d)))).numpy()
+        raw = combined.explainer.explainer_raw(tokens, backbone_states=states).numpy()
+    normalized = efficiency_normalize_grid(raw, v1, v0)
+    return logits, normalized, float(np.abs(normalized.sum(axis=1) - (v1 - v0)).max())
+
+
+def test_explain_values_are_float64_coalition_values():
+    """Logits keep their bits; attributions move by float32 noise from the float32-value
+    explain; the efficiency residual measures the normalization, not a float32 rounding."""
+    combined = full_width_combined(seed=23)
+    x = np.random.default_rng(23).standard_normal((60, 8, 5)).astype(np.float32)
+    logits, phi, residual = combined.explain(x)
+    old_logits, old_phi, old_residual = _float32_value_explain(combined, x)
+    assert logits.tobytes() == old_logits.tobytes()
+    assert np.abs(phi - old_phi).max() < 1e-7
+    assert residual < 1e-12 < old_residual
+    assert combined.v0.dtype == np.float64
+    v1 = combined.surrogate.surrogate_forward(x, None)
+    assert np.abs(phi.sum(axis=1) - (v1 - combined.v0)).max() == residual
+
+
+def test_explain_peak_memory_is_flat_in_the_batch():
+    """Rows of 16 tokens fill the 2,048-token budget at 128 rows: 8x the rows hold one
+    pass's activations at a time, so the peak grows by little more than the output."""
+    import tracemalloc
+
+    from sideshap import transformer
+
+    config = ModelConfig(depth=2, hidden=64, heads=4, num_tokens=15,
+                         token_input_dim=8, num_classes=3)
+    backbone = MaskedTransformer(config, seed=0)
+    surrogate = SideTunedModel(backbone, SideConfig(reduction=2), seed=1)
+    combined = CombinedModel(backbone, surrogate, make_explainer_from_surrogate(surrogate, 2))
+    rows = transformer._PASS_TOKENS // (config.num_tokens + 1)
+    x = np.random.default_rng(24).standard_normal((8 * rows, 15, 8)).astype(np.float32)
+
+    def peak(tokens):
+        tracemalloc.start()
+        try:
+            out = combined.explain(tokens)
+            return tracemalloc.get_traced_memory()[1], out[0].nbytes + out[1].nbytes
+        finally:
+            tracemalloc.stop()
+
+    one, _ = peak(x[:rows])
+    eight, output = peak(x)
+    assert eight < 1.25 * one + 3 * output, (one, eight, output)
 
 
 def test_explain_records_no_graph_and_training_still_does():

@@ -26,14 +26,15 @@ from sideshap.training import (
     train_explainer,
     train_froyo,
     train_surrogate,
-    surrogate_mask_values,
 )
-from sideshap.training import (
-    _regression_batch,
-    _softmax_np,
-    _value_logits,
+from sideshap.training import _regression_batch
+from sideshap.transformer import (
+    MaskedTransformer,
+    ModelConfig,
+    class_probs,
+    null_value,
+    value_logits,
 )
-from sideshap.transformer import MaskedTransformer, ModelConfig
 
 TINY_MODEL = ModelConfig(depth=1, hidden=16, heads=2, num_tokens=6,
                          token_input_dim=3, num_classes=2)
@@ -80,7 +81,7 @@ def _logsumexp_before_row_max(x):
 @pytest.mark.parametrize("shape", [(4,), (300, 2), (7, 10), (5, 40)])
 def test_float64_softmaxes_equal_their_max_reduction_formulas(shape):
     x = np.random.default_rng(33).standard_normal(shape).astype(np.float32) * 20
-    assert training._softmax_np(x).tobytes() == _softmax_np_before_row_max(x).tobytes()
+    assert class_probs(x).tobytes() == _softmax_np_before_row_max(x).tobytes()
     x64 = x.astype(np.float64)
     assert training._logsumexp(x64).tobytes() == _logsumexp_before_row_max(x64).tobytes()
 
@@ -108,9 +109,9 @@ def test_repeated_graph_free_value_pass_reuses_its_heap(monkeypatch):
     rng = np.random.default_rng(34)
     x = rng.standard_normal((12, 6)).astype(np.float32)
     masks = (rng.random((4096, 12)) < 0.5).astype(np.float32)
-    surrogate_mask_values(sur, x, masks)
+    sur.surrogate_forward(x[None], masks)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    surrogate_mask_values(sur, x, masks)
+    sur.surrogate_forward(x[None], masks)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 1000
 
@@ -328,7 +329,7 @@ def test_value_logits_records_no_graph(trained_pair, block_state_masks, monkeypa
         returned.append(sur.surrogate_logits(tokens, mask))
         return returned[-1]
 
-    _value_logits(logits_fn, x, masks)
+    value_logits(logits_fn, x, masks)
     assert len(block_state_masks) == 4  # 5 rows of each count, at most 4 per pass
     assert len(returned) == 1
     assert not any(t._parents for t in returned)
@@ -391,14 +392,14 @@ def _stacked_value_targets(logits_fn, xb, yb, masks, m, num_classes, label_mode)
     extremes = np.broadcast_to(np.stack([np.zeros(d), np.ones(d)]), (n_in, 2, d))
     stacked = np.concatenate([masks.reshape(n_in, m, d), extremes],
                              axis=1).reshape(n_in * (m + 2), d)
-    logits = _value_logits(logits_fn, np.repeat(xb, m + 2, axis=0), stacked)
-    vals = _softmax_np(logits).reshape(n_in, m + 2, -1)
+    logits = value_logits(logits_fn, np.repeat(xb, m + 2, axis=0), stacked)
+    vals = class_probs(logits).reshape(n_in, m + 2, -1)
     v0, v1 = vals[:, m, :], vals[:, m + 1, :]
     targets = vals[:, :m, :] - v0[:, None, :]
     if label_mode == "label":
         weights = np.eye(num_classes, dtype=np.float64)[yb]
     else:
-        weights = _softmax_np(_value_logits(logits_fn, xb))
+        weights = class_probs(value_logits(logits_fn, xb))
     return masks.reshape(n_in, m, d), targets, v1 - v0, weights
 
 
@@ -413,12 +414,13 @@ def test_value_targets_bit_equal_to_stacked_extremes(trained_pair, label_mode,
                            np.random.default_rng(11))
     if value_function == "surrogate":
         logits_fn = sur.surrogate_logits
-        v1 = _softmax_np(sur.surrogate_logits(
+        v1 = class_probs(sur.surrogate_logits(
             xb, None, backbone_states=clf.block_states(xb, None)).numpy())
     else:
         logits_fn = clf.forward
-        v1 = _softmax_np(clf.forward(xb).numpy())
-    got = _regression_batch(logits_fn, v1, xb, yb, masks, m, label_mode)
+        v1 = class_probs(clf.forward(xb).numpy())
+    got = _regression_batch(logits_fn, v1, null_value(logits_fn, clf.config), xb, yb, masks, m,
+                            label_mode)
     want = _stacked_value_targets(logits_fn, xb, yb, masks, m, ds.num_classes, label_mode)
     for a, ref in zip(got, want):
         assert a.shape == ref.shape and a.tobytes() == ref.tobytes()
@@ -461,6 +463,34 @@ def test_head_pipeline_record_has_no_validation_pass(trained_pair, trainer):
     assert np.isnan(rec.initial_loss)
     assert rec.final_loss == rec.val_losses[-1]
     assert rec.best_epoch == int(np.argmin(rec.val_losses))
+
+
+@pytest.mark.parametrize("stage", ["explainer", "froyo", "duo"])
+def test_null_value_is_computed_once_before_the_epoch_loop(trained_pair, monkeypatch, stage):
+    """v(x_0) is one one-row empty-mask pass per stage, before ``_fit``; no step runs one."""
+    ds, clf, sur = trained_pair
+    fitting, empty_passes = [False], []
+    fit, block_states = training._fit, MaskedTransformer.block_states
+
+    def tracked_fit(*args, **kwargs):
+        fitting[0] = True
+        try:
+            return fit(*args, **kwargs)
+        finally:
+            fitting[0] = False
+
+    def recording(self, tokens, mask):
+        if mask is not None and len(mask) == 1 and not np.any(mask):
+            empty_passes.append(fitting[0])
+        return block_states(self, tokens, mask)
+
+    monkeypatch.setattr(training, "_fit", tracked_fit)
+    monkeypatch.setattr(MaskedTransformer, "block_states", recording)
+    run = {"explainer": lambda: train_explainer(sur, ds, quick_stage(epochs=2)),
+           "froyo": lambda: train_froyo(clf, ds, quick_stage(epochs=2)),
+           "duo": lambda: train_duo(clf, ds, quick_stage(epochs=2))}[stage]
+    run()
+    assert empty_passes == [False]
 
 
 def _stage_passes(ds):
