@@ -20,6 +20,7 @@ __all__ = [
     "Tensor",
     "ContractError",
     "DimensionError",
+    "check_buildable",
     "OptimizerConfig",
     "Optimizer",
     "add", "sub", "mul", "matmul", "reshape", "transpose", "broadcast_to",
@@ -76,6 +77,14 @@ class ContractError(ValueError):
 
 class DimensionError(ContractError):
     """Operand shapes do not conform."""
+
+
+def check_buildable(what: str, *dims: int, itemsize: int = 8):
+    """ContractError unless numpy can build ``what``, a ``dims`` array of ``itemsize``-byte
+    items: numpy refuses any array of 2**63 bytes or more."""
+    if math.prod(dims) * itemsize >= 2 ** 63:
+        raise ContractError(f"{what} of shape {dims} is too large for numpy "
+                            f"({itemsize}-byte items, below 2**63 bytes in all)")
 
 
 class Tensor:

@@ -99,26 +99,28 @@ class CheckpointData:
 
 
 def save_checkpoint(path, role: str, config: dict, state: dict):
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
+    """Write ``state`` (name -> array, stored as float32) under ``role`` and ``config``.
+
+    The file is laid out once, in one buffer its size that each array's bytes
+    are copied into, and digested once.
+    """
     role_b = role.encode("utf-8")
-    chunks.append(struct.pack("<H", len(role_b)))
-    chunks.append(role_b)
     cfg_b = json.dumps(config, sort_keys=True).encode("utf-8")
-    chunks.append(struct.pack("<I", len(cfg_b)))
-    chunks.append(cfg_b)
-    chunks.append(struct.pack("<I", len(state)))
+    parts = [MAGIC, struct.pack("<IH", FORMAT_VERSION, len(role_b)), role_b,
+             struct.pack("<I", len(cfg_b)), cfg_b, struct.pack("<I", len(state))]
     for name in sorted(state):
         arr = np.asarray(state[name], dtype="<f4")
         name_b = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.tobytes())
-    body = b"".join(chunks)
+        parts += [struct.pack("<H", len(name_b)), name_b,
+                  struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape), arr.ravel().view(np.uint8)]
+    out = bytearray(sum(len(p) for p in parts) + 8)
+    view, at = memoryview(out), 0
+    for part in parts:
+        view[at:at + len(part)] = part
+        at += len(part)
+    view[at:] = struct.pack("<Q", fnv1a_64(view[:at]))
     with open(path, "wb") as f:
-        f.write(body)
-        f.write(struct.pack("<Q", fnv1a_64(body)))
+        f.write(out)
 
 
 def load_checkpoint(path, expected_role: str | None = None) -> CheckpointData:

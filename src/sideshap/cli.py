@@ -5,9 +5,10 @@ defaults < config file (``--config``) < explicit ``--set key=value`` flags.
 The effective configuration is written next to every produced artifact.
 
 Exit codes: 0 success, 1 usage error, 2 invariant/bound check failure
-(an out-of-range value, a diverged training run or a branch trained on
-another classifier included), 3 I/O failure (a malformed checkpoint, or one
-that cannot build its own model, included).
+(an out-of-range value, a size numpy cannot build or memory cannot hold, a
+diverged training run or a branch trained on another classifier included),
+3 I/O failure (a malformed checkpoint, or one that cannot build its own
+model, included).
 """
 
 from __future__ import annotations
@@ -281,9 +282,10 @@ def _load_branch(path, classifier, role, classifier_digest) -> SideTunedModel:
     return branch
 
 
-def _save_trained(path, role, state, record, cfg, **blocks):
-    """The checkpoint (config ``blocks`` plus ``cli``) and its config, losses and record."""
-    save_checkpoint(path, role, {**blocks, "cli": cfg}, state)
+def _save_trained(path, role, named, record, cfg, **blocks):
+    """The checkpoint of the ``named`` parameters (config ``blocks`` plus ``cli``) and its
+    config, losses and record. The parameters' arrays are written as they are, uncopied."""
+    save_checkpoint(path, role, {**blocks, "cli": cfg}, {k: p.data for k, p in named.items()})
     write_effective_config(path, cfg)
     record.write_csv(path + ".losses.csv")
     with open(path + ".record.json", "w", encoding="utf-8") as f:
@@ -292,7 +294,7 @@ def _save_trained(path, role, state, record, cfg, **blocks):
 
 def _save_branch(path, branch: SideTunedModel, record, cfg):
     """The branch, bound by ``backbone_digest`` to the classifier state it was trained on."""
-    _save_trained(path, branch.side_config.role, branch.side_state_dict(), record, cfg,
+    _save_trained(path, branch.side_config.role, branch.named_side_parameters(), record, cfg,
                   model=branch.backbone.config.to_dict(), side=branch.side_config.to_dict(),
                   backbone_digest=record.extra["backbone_digest"])
 
@@ -328,7 +330,7 @@ def cmd_train_classifier(args):
     ds = SyntheticDataset.load(args.data)
     model, record = train_classifier(ds, _model_config(cfg, ds), _stage_config(cfg))
     path = out_path(args, "classifier.ckpt")
-    _save_trained(path, "classifier", model.state_dict(), record, cfg,
+    _save_trained(path, "classifier", model.named_parameters(), record, cfg,
                   model=model.config.to_dict())
     print(json.dumps({"path": path, "val_accuracy": record.extra["val_accuracy"],
                       "best_epoch": record.best_epoch,
@@ -377,7 +379,7 @@ def _run_head_pipeline(args):
     trainer = train_froyo if pipeline == "froyo" else train_duo
     model, record = trainer(classifier, ds, _stage_config(cfg))
     path = out_path(args, f"{pipeline}.ckpt")
-    _save_trained(path, pipeline, model.state_dict(), record, cfg,
+    _save_trained(path, pipeline, model.named_parameters(), record, cfg,
                   model=classifier.config.to_dict())
     summary = {"path": path, "final_loss": record.final_loss}
     if pipeline == "duo":
@@ -570,6 +572,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except FloatingPointError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (CheckpointError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError
+from .autodiff import ContractError, check_buildable
 
 # the parameters each kind reads
 KIND_PARAMS = {
@@ -160,6 +160,7 @@ def _planted_patch(params: dict, seed: int, rng: np.random.Generator) -> Synthet
         raise ContractError(f"k_signal={k} must be in [1, d={d}]")
     if token_dim < 2:
         raise ContractError("planted-patch needs token_dim >= 2")
+    check_buildable("tokens", n, d, token_dim)  # drawn as float64
 
     tokens = rng.standard_normal((n, d, token_dim)).astype(np.float32)
     sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
@@ -194,6 +195,9 @@ def _linear_logit(params: dict, seed: int, rng: np.random.Generator) -> Syntheti
     if min(d, token_dim) < 1 or num_classes < 2:
         raise ContractError(f"linear-logit needs d, token_dim >= 1 and num_classes >= 2, "
                             f"not {d}, {token_dim}, {num_classes}")
+    check_buildable("tokens", n, d, token_dim)  # drawn as float64
+    check_buildable("weights", token_dim, num_classes)
+    check_buildable("logits", n, num_classes)
 
     w = rng.standard_normal((token_dim, num_classes)).astype(np.float64)
     tokens = rng.standard_normal((n, d, token_dim)).astype(np.float32)

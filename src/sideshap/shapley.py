@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError
+from .autodiff import ContractError, check_buildable
 
 __all__ = [
     "Game", "ShapleyKernelDist", "SecondMomentMatrix",
@@ -155,6 +155,7 @@ def sample_subsets(dist: ShapleyKernelDist, n: int, paired: bool,
         seed_or_rng, np.random.Generator) else seed_or_rng
     if paired and n % 2 != 0:
         raise ValueError("paired sampling requires an even sample count")
+    check_buildable("masks", n, dist.d)
     ks = rng.choice(np.arange(1, dist.d), size=n // 2 if paired else n,
                     p=dist.cardinality)
     return _fill_and_pair(ks, dist.d, paired, rng)
@@ -165,6 +166,7 @@ def sample_equicardinality_masks(d: int, n: int, rng: np.random.Generator) -> np
 
     Cardinalities 0 and d are both included.
     """
+    check_buildable("masks", n, d)
     ks = rng.integers(0, d + 1, size=n)
     return _fill_and_pair(ks, d, False, rng)
 

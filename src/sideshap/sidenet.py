@@ -115,6 +115,9 @@ class SideTunedModel:
     def _surrogate_head(self, backbone_states) -> Tensor:
         return class_logits(self.head_layers[0], self._side_pass(backbone_states))
 
+    def _explainer_head(self, backbone_states) -> Tensor:
+        return apply_token_head(self.head_layers, self._side_pass(backbone_states))
+
     def surrogate_logits(self, tokens: np.ndarray, mask: np.ndarray | None,
                          backbone_states=None) -> Tensor:
         """Surrogate logits under mask s; the side branch runs on the
@@ -139,8 +142,10 @@ class SideTunedModel:
         if self.side_config.role != ROLE_EXPLAINER:
             raise ContractError("explainer_raw called on a non-explainer branch")
         if backbone_states is None:
-            backbone_states = self.backbone.block_states(tokens, None)
-        return apply_token_head(self.head_layers, self._side_pass(backbone_states))
+            return by_kept_count(
+                lambda t, _: self._explainer_head(self.backbone.block_states(t, None)),
+                tokens, None, self.backbone.config.num_tokens)
+        return self._explainer_head(backbone_states)
 
     # ------------------------------------------------------------------
     def named_side_parameters(self):
@@ -202,19 +207,16 @@ class CombinedModel:
         one token budget at a time.
         Returns (logits, normalized attribution (batch, d, C), residual).
         """
-        c = self.classifier.config
-
-        def one_pass(t, _):  # (rows, 2 + d, C): logits, surrogate logits, raw attributions
+        def one_pass(t, _):  # logits, surrogate logits and raw attributions
             states = self.classifier.block_states(t, None)
-            logits = self.classifier.logits_from_state(states[-1])
-            sur = self.surrogate.surrogate_logits(t, None, backbone_states=states)
-            raw = self.explainer.explainer_raw(t, backbone_states=states)
-            return ad.concat([ad.reshape(logits, (-1, 1, c.num_classes)),
-                              ad.reshape(sur, (-1, 1, c.num_classes)), raw], axis=1)
+            return (self.classifier.logits_from_state(states[-1]),
+                    self.surrogate.surrogate_logits(t, None, backbone_states=states),
+                    self.explainer.explainer_raw(t, backbone_states=states))
 
         with ad.no_grad():
-            out = by_kept_count(one_pass, tokens, None, c.num_tokens).numpy()
-        logits, v1, raw = out[:, 0], class_probs(out[:, 1]), out[:, 2:]
+            logits, sur, raw = (out.numpy() for out in by_kept_count(
+                one_pass, tokens, None, self.classifier.config.num_tokens))
+        v1 = class_probs(sur)
         normalized = efficiency_normalize_grid(raw, v1, self.v0)
         residual = np.abs(normalized.sum(axis=1) - (v1 - self.v0)).max()
         return logits, normalized, float(residual)

@@ -37,6 +37,7 @@ from .sidenet import (
 from .transformer import (
     MaskedTransformer,
     ModelConfig,
+    by_kept_count,
     class_probs,
     load_named_state,
     named_layer_parameters,
@@ -319,11 +320,15 @@ def _explainer_batch(surrogate: SideTunedModel, v0, x, y, masks, m, label_mode):
 
     The surrogate and the backbone are frozen, so no graph is recorded.
     """
+    def one_pass(t, _):  # a planned pass: every block's state, then the surrogate's logits
+        states = surrogate.backbone.block_states(t, None)
+        return (*states, surrogate.surrogate_logits(t, None, backbone_states=states))
+
     with ad.no_grad():
-        states = surrogate.backbone.block_states(x, None)
-        v1 = class_probs(surrogate.surrogate_logits(x, None, backbone_states=states).numpy())
-    return ([s.numpy() for s in states],
-            *_regression_batch(surrogate.surrogate_logits, v1, v0, x, y, masks, m, label_mode))
+        *states, logits = (out.numpy() for out in by_kept_count(
+            one_pass, x, None, surrogate.backbone.config.num_tokens))
+    return (states, *_regression_batch(surrogate.surrogate_logits, class_probs(logits), v0,
+                                       x, y, masks, m, label_mode))
 
 
 def _explainer_loss(explainer: SideTunedModel, x, batch, rows) -> Tensor:

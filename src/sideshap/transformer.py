@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, Tensor
+from .autodiff import ContractError, Tensor, check_buildable
 
 
 @dataclass
@@ -38,6 +38,7 @@ class ModelConfig:
         if self.num_tokens < 2:
             raise ContractError("num_tokens must be >= 2")
         mlp_width(self.mlp_ratio, self.hidden)  # refuses a width no array can take
+        check_buildable("parameters", count_params(self))  # each is drawn as float64
 
     @property
     def mlp_hidden(self) -> int:
@@ -57,19 +58,6 @@ def mlp_width(ratio, width: int) -> int:
         raise ContractError(
             f"MLP width round(mlp_ratio={ratio} * {width}) is not an integer in [1, 2**63)")
     return int(round(ratio * width))
-
-
-# architecture tables for analytic count reproduction; no weights attached
-PRESETS = {
-    "vit-tiny": ModelConfig(depth=12, hidden=192, heads=3, num_tokens=196,
-                            token_input_dim=768, num_classes=10),
-    "vit-small": ModelConfig(depth=12, hidden=384, heads=6, num_tokens=196,
-                             token_input_dim=768, num_classes=10),
-    "vit-base": ModelConfig(depth=12, hidden=768, heads=12, num_tokens=196,
-                            token_input_dim=768, num_classes=10),
-    "vit-large": ModelConfig(depth=24, hidden=1024, heads=16, num_tokens=196,
-                             token_input_dim=768, num_classes=10),
-}
 
 
 def kaiming_normal(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -212,12 +200,13 @@ def masked_batch(tokens: np.ndarray, mask: np.ndarray | None, num_tokens: int):
 _PASS_TOKENS = 2048  # tokens per graph-free pass; it sets memory, never a row's bits
 
 
-def by_kept_count(run, tokens: np.ndarray, mask: np.ndarray | None, num_tokens: int) -> Tensor:
+def by_kept_count(run, tokens: np.ndarray, mask: np.ndarray | None, num_tokens: int):
     """``run(tokens, mask)`` over passes of rows that keep equally many tokens (None: all).
 
     The one place a batch becomes model passes: a graph-free pass holds at most ``_PASS_TOKENS``
     tokens, rows x (kept + 1), one row at least; one that records a graph holds a whole count,
-    as the graph keeps every activation until backward anyway. Rows return in input order.
+    as the graph keeps every activation until backward anyway. ``run`` returns a Tensor or a
+    tuple of them, and each output's rows return in input order.
     """
     tokens, mask = masked_batch(tokens, mask, num_tokens)
     kept = np.full(len(tokens), num_tokens) if mask is None else np.count_nonzero(mask, axis=1)
@@ -231,7 +220,10 @@ def by_kept_count(run, tokens: np.ndarray, mask: np.ndarray | None, num_tokens: 
         return run(tokens, mask)
     outs = [run(tokens[rows], None if mask is None else mask[rows])
             for rows in np.split(order, cuts[1:])]
-    return ad.take(ad.concat(outs, axis=0), np.argsort(order))
+    back = np.argsort(order)
+    if isinstance(outs[0], Tensor):
+        return ad.take(ad.concat(outs, axis=0), back)
+    return tuple(ad.take(ad.concat(parts, axis=0), back) for parts in zip(*outs))
 
 
 def value_logits(logits_fn, tokens: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
@@ -382,3 +374,16 @@ def count_params(config: ModelConfig) -> int:
     total += 2 * c.hidden  # final norm
     total += c.hidden * c.num_classes + c.num_classes  # classification head
     return total
+
+
+# architecture tables for analytic count reproduction; no weights attached
+PRESETS = {
+    "vit-tiny": ModelConfig(depth=12, hidden=192, heads=3, num_tokens=196,
+                            token_input_dim=768, num_classes=10),
+    "vit-small": ModelConfig(depth=12, hidden=384, heads=6, num_tokens=196,
+                             token_input_dim=768, num_classes=10),
+    "vit-base": ModelConfig(depth=12, hidden=768, heads=12, num_tokens=196,
+                            token_input_dim=768, num_classes=10),
+    "vit-large": ModelConfig(depth=24, hidden=1024, heads=16, num_tokens=196,
+                             token_input_dim=768, num_classes=10),
+}

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import write_raw_checkpoint
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sideshap.checkpoint import (
@@ -245,6 +245,85 @@ def test_mutated_digest_valid_body_loads_or_is_checkpoint_error(mutations):
                 pass
 
 
+def _small_branch():
+    """A 182-parameter classifier and the body of a surrogate checkpoint bound to it."""
+    import tempfile
+
+    from sideshap.sidenet import ROLE_SURROGATE, SideConfig, SideTunedModel
+    from sideshap.training import state_digest
+    from sideshap.transformer import MaskedTransformer, ModelConfig
+
+    config = ModelConfig(depth=1, hidden=4, heads=2, num_tokens=2, token_input_dim=2,
+                         num_classes=2, mlp_ratio=1.0)
+    classifier = MaskedTransformer(config)
+    side = SideConfig(reduction=2, role=ROLE_SURROGATE)
+    branch = SideTunedModel(classifier, side, seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/s.ckpt"
+        save_checkpoint(path, ROLE_SURROGATE,
+                        {"model": config.to_dict(), "side": side.to_dict(),
+                         "backbone_digest": state_digest(classifier.named_parameters())},
+                        branch.side_state_dict())
+        with open(path, "rb") as f:
+            return classifier, f.read()[:-8]
+
+
+BRANCH_CLASSIFIER, BRANCH_BODY = _small_branch()
+
+
+def _flip_to(text: bytes, choices: bytes):
+    """A one-byte flip of ``BRANCH_BODY`` that turns the byte after ``text`` into the
+    first of ``choices`` that it is not already."""
+    at = BRANCH_BODY.index(text) + len(text)
+    return [("flip", at, BRANCH_BODY[at] ^ next(c for c in choices if c != BRANCH_BODY[at]))]
+
+
+@settings(max_examples=300, deadline=None)
+@example(_flip_to(b'"hidden": ', b"8"))  # another model block
+@example(_flip_to(b'"backbone_digest": "', b"01"))  # another classifier state
+@given(st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete", "truncate"]),
+                          st.integers(0, len(BRANCH_BODY) - 1), st.integers(1, 255)),
+                min_size=1, max_size=3))
+def test_mutated_digest_valid_branch_body_loads_or_fails_as_documented(mutations):
+    """A mutated surrogate body with a valid digest, loaded by the CLI onto its own
+    classifier: it loads, raises CheckpointError, or raises ContractError for the
+    documented binding mismatch only (another ``model`` block or ``backbone_digest``)."""
+    import struct
+    import tempfile
+
+    from sideshap.autodiff import ContractError
+    from sideshap.cli import _load_branch
+    from sideshap.sidenet import ROLE_SURROGATE
+    from sideshap.training import state_digest
+
+    body = _mutated(BRANCH_BODY, mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/m.ckpt"
+        with open(path, "wb") as f:
+            f.write(body + struct.pack("<Q", fnv1a_64(body)))
+        try:
+            _load_branch(path, BRANCH_CLASSIFIER, ROLE_SURROGATE,
+                         lambda: state_digest(BRANCH_CLASSIFIER.named_parameters()))
+        except CheckpointError:
+            pass
+        except ContractError as exc:
+            assert str(exc).startswith(f"surrogate {path} was trained on "), exc
+
+
+def test_unmutated_small_branch_body_loads_onto_its_classifier(tmp_path):
+    import struct
+
+    from sideshap.cli import _load_branch
+    from sideshap.sidenet import ROLE_SURROGATE
+    from sideshap.training import state_digest
+
+    path = tmp_path / "s.ckpt"
+    path.write_bytes(BRANCH_BODY + struct.pack("<Q", fnv1a_64(BRANCH_BODY)))
+    branch = _load_branch(path, BRANCH_CLASSIFIER, ROLE_SURROGATE,
+                          lambda: state_digest(BRANCH_CLASSIFIER.named_parameters()))
+    assert branch.backbone is BRANCH_CLASSIFIER
+
+
 def test_unmutated_small_body_loads_as_a_classifier(tmp_path):
     import struct
 
@@ -312,3 +391,26 @@ def test_load_holds_one_copy_of_the_file(tmp_path):
     assert peak < 1.5 * size
     for name, arr in state.items():
         assert back.state[name].tobytes() == arr.tobytes()
+
+
+def test_save_holds_one_copy_of_the_file(tmp_path):
+    """A save allocates at most 1.1x the file's size beyond the state it is given:
+    one buffer for the file, and the digest's working blocks."""
+    rng = np.random.default_rng(0)
+    state = {f"w{i}": rng.standard_normal((512, 2048)).astype(np.float32) for i in range(6)}
+    state["odd"] = rng.standard_normal((7, 5)).astype(np.float64).T  # converted, then copied
+    state["strided"] = rng.standard_normal(20).astype(np.float32)[::2]
+    path = tmp_path / "big.ckpt"
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        save_checkpoint(path, "classifier", {"model": {"depth": 1}}, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 24 * 2 ** 20
+    assert peak - before <= 1.1 * size
+    back = load_checkpoint(path)
+    for name, arr in state.items():
+        assert back.state[name].tobytes() == arr.astype(np.float32).tobytes()

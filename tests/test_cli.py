@@ -1,6 +1,7 @@
 """CLI: config handling, exit codes, end-to-end tiny pipeline."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -625,10 +626,16 @@ def _boundary_inputs(command, artifacts):
                             "--surrogate", artifacts["surrogate"], *FAST_TRAIN],
         "train-froyo": [*data, "--classifier", artifacts["classifier"], *FAST_TRAIN],
         "train-duo": [*data, "--classifier", artifacts["classifier"], *FAST_TRAIN],
+        "explain": [*data, "--classifier", artifacts["classifier"],
+                    "--surrogate", artifacts["surrogate"],
+                    "--explainer", artifacts["explainer"], "--index", "3"],
         "evaluate": [*data, "--classifier", artifacts["classifier"],
                      "--surrogate", artifacts["surrogate"],
                      "--explainer", artifacts["explainer"], "--samples", "2"],
     }.get(command, [])
+
+
+TOO_BIG = str(2 ** 60)  # no array of 2**60 float64 items fits below numpy's 2**63 bytes
 
 
 BOUNDARY_CASES = [
@@ -695,6 +702,24 @@ BOUNDARY_CASES = [
      EXIT_CHECK_FAILED, "contract violation:", "num_classes"),
     ("gen-data", ["--set", "data.kind=linear-logit", "--set", "data.d=0"],
      EXIT_CHECK_FAILED, "contract violation:", "d, token_dim"),
+    ("gen-data", ["--set", f"data.n_samples={TOO_BIG}"],
+     EXIT_CHECK_FAILED, "contract violation:", "tokens of shape"),
+    ("gen-data", ["--set", f"data.d={TOO_BIG}"],
+     EXIT_CHECK_FAILED, "contract violation:", "tokens of shape"),
+    ("gen-data", ["--set", f"data.token_dim={TOO_BIG}"],
+     EXIT_CHECK_FAILED, "contract violation:", "tokens of shape"),
+    ("gen-data", ["--set", "data.kind=linear-logit", "--set", f"data.num_classes={TOO_BIG}"],
+     EXIT_CHECK_FAILED, "contract violation:", "weights of shape"),
+    ("train-classifier", ["--set", f"model.hidden={TOO_BIG}", "--set", "model.heads=1"],
+     EXIT_CHECK_FAILED, "contract violation:", "parameters of shape"),
+    ("train-surrogate", ["--set", f"train.masks_per_input={TOO_BIG}"],
+     EXIT_CHECK_FAILED, "contract violation:", "masks of shape"),
+    ("train-explainer", ["--set", "side.reduction=2", "--set", f"train.masks_per_input={TOO_BIG}"],
+     EXIT_CHECK_FAILED, "contract violation:", "masks of shape"),
+    ("train-explainer", ["--set", "side.reduction=2", "--set", f"train.mask_bank={TOO_BIG}"],
+     EXIT_CHECK_FAILED, "contract violation:", "masks of shape"),
+    ("train-froyo", ["--set", f"train.masks_per_input={TOO_BIG}"],
+     EXIT_CHECK_FAILED, "contract violation:", "masks of shape"),
     ("evaluate", ["--seed", "-1"], EXIT_USAGE, "usage error:", "--seed"),
     ("check-bounds", ["--seed", "-1"], EXIT_USAGE, "usage error:", "--seed"),
     ("check-lemma", ["--d-max", "17"], EXIT_USAGE, "usage error:", "--d-max"),
@@ -720,3 +745,70 @@ def test_out_of_range_value_fails_early(pipeline_artifacts, capsys, tmp_path, mo
     assert len(err.splitlines()) == 1
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_allocation_exits_2(capsys, tmp_path, monkeypatch):
+    """A size numpy can build but memory cannot hold ends in one line and exit 2.
+
+    The MemoryError is raised by hand: on a host that overcommits memory, a
+    real request that large need not fail at once.
+    """
+    from sideshap import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. TiB for an array with shape "
+                          "(1099511627776, 16, 8) and data type float64")
+
+    monkeypatch.setattr(cli, "generate_dataset", out_of_memory)
+    monkeypatch.setenv("SIDESHAP_OUTDIR", str(tmp_path))
+    code, out, err = run(capsys, "gen-data", *TINY)
+    assert code == EXIT_CHECK_FAILED and out == ""
+    assert err.startswith("out of memory: Unable to allocate") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# every graph-free backbone pass is a planned pass
+
+
+PLANNED_RUNS = [
+    ("train-classifier", []),
+    ("train-surrogate", []),
+    ("train-explainer", ["--set", "side.reduction=2"]),
+    ("train-explainer", ["--set", "side.reduction=2", "--set", "train.mask_bank=4"]),
+    ("train-froyo", []),
+    ("train-duo", []),
+    ("explain", []),
+    ("evaluate", ["--samples", "12"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", PLANNED_RUNS,
+                         ids=[_case_id(case) for case in PLANNED_RUNS])
+def test_graph_free_backbone_passes_are_planned_within_the_budget(
+        pipeline_artifacts, capsys, tmp_path, monkeypatch, command, flags):
+    """Every ``block_states`` call that records no graph runs inside ``by_kept_count``
+    and holds at most ``_PASS_TOKENS`` tokens, rows x (kept + 1), or one row."""
+    from sideshap import autodiff as ad
+    from sideshap import transformer
+    from sideshap.transformer import MaskedTransformer
+
+    budget, passes = 16, []
+    block_states = MaskedTransformer.block_states
+
+    def recording(self, tokens, mask):
+        if not ad.is_grad_enabled():
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not transformer.by_kept_count.__code__:
+                frame = frame.f_back
+            kept = self.config.num_tokens if mask is None else np.count_nonzero(mask[0])
+            passes.append((frame is not None, len(tokens), len(tokens) * (kept + 1)))
+        return block_states(self, tokens, mask)
+
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", budget)
+    monkeypatch.setattr(MaskedTransformer, "block_states", recording)
+    monkeypatch.setenv("SIDESHAP_OUTDIR", str(tmp_path))
+    code, _, _ = run(capsys, command, *_boundary_inputs(command, pipeline_artifacts), *flags)
+    assert code == EXIT_OK and passes
+    assert [(planned, rows, tokens) for planned, rows, tokens in passes
+            if not planned or (rows > 1 and tokens > budget)] == []

@@ -291,6 +291,32 @@ def test_explain_runs_in_passes_within_the_token_budget(block_state_masks, monke
     assert residual == whole[2]
 
 
+def test_explainer_raw_without_states_runs_planned_passes(block_state_masks, monkeypatch):
+    """Without ``backbone_states`` the backbone runs in the planner's passes: 8 rows of 9
+    tokens under a 27-token budget take 3 graph-free passes, with the bits of one pass on
+    given states. ``explainer_raw`` is entered once, so a tracer of it sees one span."""
+    from sideshap import transformer
+
+    explainer = full_width_combined(seed=5).explainer
+    x = np.random.default_rng(16).standard_normal((8, 8, 5)).astype(np.float32)
+    with ad.no_grad():
+        want = explainer.explainer_raw(x, backbone_states=explainer.backbone.block_states(
+            x, None)).numpy()
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", 27)
+    calls, explainer_raw = [], SideTunedModel.explainer_raw
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return explainer_raw(self, *args, **kwargs)
+
+    monkeypatch.setattr(SideTunedModel, "explainer_raw", counting)
+    block_state_masks.clear()
+    with ad.no_grad():
+        got = explainer.explainer_raw(x).numpy()
+    assert got.tobytes() == want.tobytes()
+    assert block_state_masks == [None] * 3 and calls == [8]
+
+
 def test_surrogate_forward_records_no_graph_and_keeps_grad_mode(monkeypatch):
     """Under grad mode it returns the float64 ``class_probs`` of the graph-recording
     expression, which passes each kept count whole, and grad mode is still on afterwards."""

@@ -160,6 +160,27 @@ def test_graph_free_passes_hold_one_count_within_the_budget(toy_model, block_sta
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("budget", [1, 40, 10 ** 9])
+def test_a_pass_may_return_several_outputs(toy_model, monkeypatch, budget):
+    """A ``run`` that returns a tuple gets each of its outputs back in input order,
+    with the bits of one row per pass, under any split into passes."""
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((50, 8, 5)).astype(np.float32)
+    mask = mixed_masks(rng, 50, 8)
+
+    def run(t, m):  # logits, and the class token's state after the first block
+        states = toy_model.block_states(t, m)
+        return toy_model.logits_from_state(states[-1]), ad.narrow(states[0], 1, 0, 1)
+
+    monkeypatch.setattr(transformer, "_PASS_TOKENS", budget)
+    with ad.no_grad():
+        rows = [run(x[i:i + 1], mask[i:i + 1]) for i in range(50)]
+        got = transformer.by_kept_count(run, x, mask, 8)
+    assert isinstance(got, tuple) and len(got) == 2
+    for k, out in enumerate(got):
+        assert out.numpy().tobytes() == np.concatenate([r[k].numpy() for r in rows]).tobytes()
+
+
 def test_graph_recording_passes_hold_a_whole_kept_count(block_state_calls, monkeypatch):
     """A classifier step of 256 rows at d=16 (4,352 tokens, over the budget) runs
     as one pass with the bits and gradients of a direct unmasked pass, and a
